@@ -1,7 +1,7 @@
-// Hot-path performance harness: delta evaluation + the compiled
-// simulation tape.
+// Hot-path performance harness: delta evaluation, the compiled
+// simulation tape and noise-gain calibration.
 //
-// Three measurements, each paired with a bit-identity check so a speedup
+// Six measurements, each paired with a bit-identity check so a speedup
 // can never come from computing something different:
 //
 //   1. Tabu move evaluation — incremental sessions (EvalSession +
@@ -24,15 +24,20 @@
 //      closed over the greedy heuristic. Gated on every solve running,
 //      proving optimality, and never regressing below its heuristic
 //      seed.
+//   6. Gain calibration — analyze_gains (sparse differential replay)
+//      against the dense one-replay-per-injection reference
+//      (tests/gain_reference.hpp) per registry kernel; gated on
+//      bit-identical gains.
 //
 // Emits a JSON report (--json / --json=FILE). Exits non-zero when any
 // bit-identity check fails — walker/tape divergence, delta/full
-// divergence or compiled/tape divergence is a correctness bug, not a
-// performance result.
+// divergence, compiled/tape divergence or sparse/dense calibration
+// divergence is a correctness bug, not a performance result.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,6 +48,7 @@
 #include "core/wl_cost_model.hpp"
 #include "dist/cache_snapshot.hpp"
 #include "exec/compiled_evaluator.hpp"
+#include "gain_reference.hpp"
 #include "sim/fixed_sim.hpp"
 #include "sim/sim_tape.hpp"
 #include "support/rng.hpp"
@@ -441,6 +447,47 @@ SweepReport bench_sweep(const std::vector<SweepPoint>& grid, int threads) {
     return report;
 }
 
+struct CalibrationKernelReport {
+    std::string kernel;
+    double dense_ms = 0.0;
+    double sparse_ms = 0.0;
+    double speedup = 0.0;
+    bool bit_identical = true;
+};
+
+struct CalibrationReport {
+    std::vector<CalibrationKernelReport> kernels;
+    bool bit_identical = true;
+};
+
+/// Per-kernel gain calibration: analyze_gains against the dense reference,
+/// best of `repeats` interleaved runs each, gains compared bitwise.
+CalibrationReport bench_calibration(const std::vector<std::string>& names,
+                                    int repeats) {
+    CalibrationReport report;
+    for (const std::string& name : names) {
+        const kernels::BenchmarkKernel bk = kernels::make_benchmark_kernel(name);
+        CalibrationKernelReport kr;
+        kr.kernel = name;
+        kr.dense_ms = kr.sparse_ms = std::numeric_limits<double>::infinity();
+        for (int r = 0; r < repeats; ++r) {
+            auto start = std::chrono::steady_clock::now();
+            const KernelGains dense = reference::dense_analyze_gains(bk.kernel);
+            kr.dense_ms = std::min(kr.dense_ms, seconds_since(start) * 1000.0);
+            start = std::chrono::steady_clock::now();
+            const KernelGains sparse = analyze_gains(bk.kernel);
+            kr.sparse_ms = std::min(kr.sparse_ms, seconds_since(start) * 1000.0);
+            if (!reference::gains_bit_identical(dense, sparse)) {
+                kr.bit_identical = false;
+            }
+        }
+        kr.speedup = kr.dense_ms / kr.sparse_ms;
+        if (!kr.bit_identical) report.bit_identical = false;
+        report.kernels.push_back(kr);
+    }
+    return report;
+}
+
 /// Geometric mean of the per-kernel speedups — the one-number summary
 /// that doesn't let a single large kernel drown out a regression on a
 /// small one.
@@ -454,7 +501,8 @@ std::string report_json(const std::vector<TabuReport>& tabu,
                         const NoiseReport& noise,
                         const CompiledReport& compiled,
                         const SweepReport& sweep,
-                        const SolverReport& solver) {
+                        const SolverReport& solver,
+                        const CalibrationReport& calibration) {
     const bool tabu_identical =
         std::all_of(tabu.begin(), tabu.end(),
                     [](const TabuReport& r) { return r.bit_identical; });
@@ -506,7 +554,19 @@ std::string report_json(const std::vector<TabuReport>& tabu,
        << (solver.ran_everywhere ? "true" : "false")
        << ",\"all_proven\":" << (solver.all_proven ? "true" : "false")
        << ",\"gaps_nonnegative\":"
-       << (solver.gaps_nonnegative ? "true" : "false") << "}}\n";
+       << (solver.gaps_nonnegative ? "true" : "false")
+       << "},\"calibration\":{\"kernels\":[";
+    for (size_t i = 0; i < calibration.kernels.size(); ++i) {
+        const CalibrationKernelReport& r = calibration.kernels[i];
+        os << (i == 0 ? "" : ",") << "{\"kernel\":\"" << r.kernel
+           << "\",\"dense_ms\":" << json_number(r.dense_ms)
+           << ",\"sparse_ms\":" << json_number(r.sparse_ms)
+           << ",\"speedup\":" << json_number(r.speedup)
+           << ",\"bit_identical\":" << (r.bit_identical ? "true" : "false")
+           << "}";
+    }
+    os << "],\"bit_identical\":"
+       << (calibration.bit_identical ? "true" : "false") << "}}\n";
     return os.str();
 }
 
@@ -522,7 +582,7 @@ int main(int argc, char** argv) {
         bench::parse_bench_args(argc, argv, spec);
 
     bench::print_header(
-        "perf_hotpaths: delta evaluation + compiled simulation tape",
+        "perf_hotpaths: delta evaluation, compiled tape, gain calibration",
         "inner-loop cost of the WLO flows (Section IV hot paths)");
 
     const long long tabu_moves = options.smoke ? 4000 : 40000;
@@ -610,8 +670,19 @@ int main(int argc, char** argv) {
                 solver.all_proven ? "yes" : "NO",
                 solver.gaps_nonnegative ? "yes" : "NO");
 
+    const CalibrationReport calibration = bench_calibration(
+        kernels::benchmark_kernel_names(), options.smoke ? 2 : 3);
+    std::printf("\ngain calibration, dense reference vs sparse replay\n");
+    for (const CalibrationKernelReport& r : calibration.kernels) {
+        std::printf(
+            "  %-6s dense %9.2f ms   sparse %9.2f ms   %7.2fx   "
+            "bit-identical: %s\n",
+            r.kernel.c_str(), r.dense_ms, r.sparse_ms, r.speedup,
+            r.bit_identical ? "yes" : "NO");
+    }
+
     const std::string json =
-        report_json(tabu, noise, compiled, sweep, solver);
+        report_json(tabu, noise, compiled, sweep, solver, calibration);
     if (options.json_path.has_value()) {
         bench::emit_json_to(*options.json_path, json, 3);
     }
@@ -619,7 +690,8 @@ int main(int argc, char** argv) {
     const bool ok = tabu_identical && noise.bit_identical &&
                     compiled.bit_identical && sweep.bytes_identical &&
                     sweep.stage_hits > 0 && solver.ran_everywhere &&
-                    solver.all_proven && solver.gaps_nonnegative;
+                    solver.all_proven && solver.gaps_nonnegative &&
+                    calibration.bit_identical;
     if (!ok) {
         std::printf("\nFAIL: divergence between fast and reference paths\n");
         return 1;

@@ -17,6 +17,12 @@
 // evaluated in O(#static ops) — fast enough for the tens of thousands of
 // EVALACC calls the joint optimization issues. See DESIGN.md section 4.
 //
+// Each perturbed run is a sparse differential replay against one recorded
+// base run: only steps that read a value differing from the base run are
+// recomputed, and a run stops once no differing value is read again. The
+// gains are bit-identical to one full double replay per injection
+// (tests/gain_reference.hpp keeps that dense form as the reference).
+//
 // Op sources: A/B are accumulated over the op's dynamic instances within one
 // iteration of the outermost (sample) loop, injecting at a mid-stream
 // iteration. Array sources: input arrays use a mid-element time-shift
@@ -53,6 +59,8 @@ struct GainOptions {
     int array_samples = 8;
 };
 
+/// Throws Error when the kernel produces no outputs, or a non-finite one
+/// under the calibration stimulus.
 KernelGains analyze_gains(const Kernel& kernel, const GainOptions& options = {});
 
 }  // namespace slpwlo

@@ -2,13 +2,19 @@
 // and agreement between the analytical evaluator and bit-accurate simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 
 #include "accuracy/analytic_evaluator.hpp"
 #include "accuracy/sim_evaluator.hpp"
+#include "frontend/kernel_file.hpp"
+#include "frontend/kernel_gen.hpp"
+#include "gain_reference.hpp"
 #include "sim/fixed_sim.hpp"
 #include "support/dbmath.hpp"
+#include "support/diagnostics.hpp"
 #include "test_util.hpp"
 
 namespace slpwlo {
@@ -167,6 +173,137 @@ TEST(Gains, ConvGainsAreLocal) {
         if (k.ops()[i].kind == OpKind::Store) {
             EXPECT_NEAR(gains.op_gains[i].a, 1.0, 0.01);
         }
+    }
+}
+
+// --- sparse calibration vs the dense reference ------------------------------------
+
+/// analyze_gains must equal the dense one-replay-per-injection calibration
+/// bit for bit (tests/gain_reference.hpp).
+void expect_matches_dense(const Kernel& kernel) {
+    const KernelGains sparse = analyze_gains(kernel);
+    const KernelGains dense = reference::dense_analyze_gains(kernel);
+    EXPECT_TRUE(reference::gains_bit_identical(sparse, dense))
+        << "kernel " << kernel.name();
+}
+
+TEST(GainOracle, BuiltinKernels) {
+    for (const std::string& name : kernels::benchmark_kernel_names()) {
+        expect_matches_dense(kernels::make_benchmark_kernel(name).kernel);
+    }
+    expect_matches_dense(small_fir());
+    expect_matches_dense(small_iir());  // feedback: replays to the tape end
+    expect_matches_dense(small_conv());
+}
+
+TEST(GainOracle, KernelCorpus) {
+    std::vector<std::string> paths;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(SLPWLO_KERNEL_CORPUS_DIR)) {
+        if (entry.path().extension() == ".slp") {
+            paths.push_back(entry.path().string());
+        }
+    }
+    std::sort(paths.begin(), paths.end());
+    ASSERT_GE(paths.size(), 7u);
+    for (const std::string& path : paths) {
+        expect_matches_dense(frontend::load_kernel_file(path).kernel);
+    }
+}
+
+TEST(GainOracle, GeneratedKernels) {
+    frontend::GenOptions hostile;
+    hostile.slp_hostile = true;
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+        expect_matches_dense(frontend::generate_kernel(seed).kernel);
+    }
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        expect_matches_dense(frontend::generate_kernel(seed, hostile).kernel);
+    }
+}
+
+TEST(GainOracle, SquareReadsOneVarTwice) {
+    KernelBuilder b("square");
+    const ArrayId x = b.input("x", 32, Interval(-1.0, 1.0));
+    const ArrayId y = b.output("y", 32);
+    const LoopId n = b.begin_loop("n", 0, 32);
+    const VarId v = b.load(x, Affine::var(n));
+    b.store(y, Affine::var(n), b.mul(v, v));
+    b.end_loop();
+    expect_matches_dense(b.take());
+}
+
+TEST(GainOracle, NegativeZeroOutputs) {
+    // y[n] = -(x[n] * 0): the base outputs are signed zeros, and inputs
+    // this small change sign under the perturbation, so some perturbed
+    // values differ from the base only in the sign of a zero.
+    KernelBuilder b("neg_zero");
+    const ArrayId x = b.input("x", 32, Interval(-1.0 / 4096, 1.0 / 4096));
+    const ArrayId zero = b.param("zero", {0.0});
+    const ArrayId y = b.output("y", 32);
+    const LoopId n = b.begin_loop("n", 0, 32);
+    const VarId p = b.mul(b.load(x, Affine::var(n)), b.load(zero, Affine(0)));
+    b.store(y, Affine::var(n), b.neg(p));
+    b.end_loop();
+    const Kernel k = b.take();
+    expect_matches_dense(k);
+    const Stimulus stimulus = make_stimulus(k, GainOptions{}.seed);
+    bool has_negative_zero = false;
+    for (const double v : run_double(k, stimulus).outputs) {
+        if (v == 0.0 && std::signbit(v)) has_negative_zero = true;
+    }
+    EXPECT_TRUE(has_negative_zero);
+}
+
+TEST(GainOracle, DivisionByPerturbedOperands) {
+    KernelBuilder b("divide");
+    const ArrayId x = b.input("x", 33, Interval(-1.0, 1.0));
+    const ArrayId y = b.output("y", 32);
+    const LoopId n = b.begin_loop("n", 0, 32);
+    const VarId den =
+        b.add(b.load(x, Affine::var(n) + 1), b.constant(4.0));
+    b.store(y, Affine::var(n), b.div(b.load(x, Affine::var(n)), den));
+    b.end_loop();
+    expect_matches_dense(b.take());
+}
+
+TEST(GainOracle, BufferCellOverwrittenCleanBeforeNextRead) {
+    // t[0] takes a perturbable product, is read once, then is overwritten
+    // by a constant before its next read; d is a one-sample delay line
+    // (a cell written in one sample and read in the next).
+    KernelBuilder b("buffer_overwrite");
+    const ArrayId x = b.input("x", 32, Interval(-1.0, 1.0));
+    const ArrayId t = b.buffer("t", 1);
+    const ArrayId d = b.buffer("d", 33);
+    const ArrayId y = b.output("y", 32);
+    const LoopId n = b.begin_loop("n", 0, 32);
+    b.store(t, Affine(0), b.mul(b.load(x, Affine::var(n)), b.constant(0.5)));
+    const VarId u = b.load(t, Affine(0));
+    b.store(t, Affine(0), b.constant(0.25));
+    const VarId w = b.load(t, Affine(0));
+    b.store(d, Affine::var(n) + 1, u);
+    const VarId prev = b.load(d, Affine::var(n));
+    b.store(y, Affine::var(n), b.add(b.add(u, w), prev));
+    b.end_loop();
+    expect_matches_dense(b.take());
+}
+
+TEST(Gains, NonFiniteCalibrationOutputThrows) {
+    KernelBuilder b("div_by_zero");
+    const ArrayId x = b.input("x", 16, Interval(-1.0, 1.0));
+    const ArrayId y = b.output("y", 16);
+    const LoopId n = b.begin_loop("n", 0, 16);
+    b.store(y, Affine::var(n),
+            b.div(b.load(x, Affine::var(n)), b.constant(0.0)));
+    b.end_loop();
+    const Kernel k = b.take();
+    try {
+        analyze_gains(k);
+        FAIL() << "expected an Error for non-finite calibration outputs";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("div_by_zero"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
