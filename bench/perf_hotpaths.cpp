@@ -1,7 +1,7 @@
 // Hot-path performance harness: delta evaluation, the compiled
-// simulation tape and noise-gain calibration.
+// simulation tape, noise-gain calibration and SLP candidate selection.
 //
-// Six measurements, each paired with a bit-identity check so a speedup
+// Seven measurements, each paired with a bit-identity check so a speedup
 // can never come from computing something different:
 //
 //   1. Tabu move evaluation — incremental sessions (EvalSession +
@@ -28,11 +28,16 @@
 //      against the dense one-replay-per-injection reference
 //      (tests/gain_reference.hpp) per registry kernel; gated on
 //      bit-identical gains.
+//   7. Candidate selection — select_candidates (per-round economics
+//      index) against the pool-scan greedy loop
+//      (tests/economics_reference.hpp) on every plain-extraction round of
+//      stencil2d, stencil1d, CONV and FIR; gated on identical selections.
 //
 // Emits a JSON report (--json / --json=FILE). Exits non-zero when any
 // bit-identity check fails — walker/tape divergence, delta/full
-// divergence, compiled/tape divergence or sparse/dense calibration
-// divergence is a correctness bug, not a performance result.
+// divergence, compiled/tape divergence, sparse/dense calibration
+// divergence or indexed/pool-scan selection divergence is a correctness
+// bug, not a performance result.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -48,6 +53,8 @@
 #include "core/wl_cost_model.hpp"
 #include "dist/cache_snapshot.hpp"
 #include "exec/compiled_evaluator.hpp"
+#include "economics_reference.hpp"
+#include "frontend/kernel_file.hpp"
 #include "gain_reference.hpp"
 #include "sim/fixed_sim.hpp"
 #include "sim/sim_tape.hpp"
@@ -396,7 +403,8 @@ SolverReport bench_solver(const std::vector<std::string>& kernel_names,
 
     std::vector<SweepPoint> points;
     for (const std::string& name : kernel_names) {
-        points.push_back(SweepPoint{name, "XENTIUM", "WLO-SLP", -30.0});
+        points.push_back(
+            SweepPoint{name, "XENTIUM", "WLO-SLP", -30.0, {}, {}, {}});
     }
     std::vector<long long> micros;
     const std::vector<SweepResult> results =
@@ -488,6 +496,103 @@ CalibrationReport bench_calibration(const std::vector<std::string>& names,
     return report;
 }
 
+struct SelectionKernelReport {
+    std::string kernel;
+    int rounds = 0;
+    long long candidates = 0;
+    double reference_ms = 0.0;
+    double indexed_ms = 0.0;
+    double speedup = 0.0;
+    bool bit_identical = true;
+};
+
+struct SelectionReport {
+    std::vector<SelectionKernelReport> kernels;
+    bool bit_identical = true;
+};
+
+/// One extraction round: the view it starts from, its candidates and
+/// their structural conflicts.
+struct SelectionRound {
+    PackedView view;
+    std::vector<Candidate> candidates;
+    ConflictSet conflicts;
+};
+
+/// The rounds plain extraction runs on every block of `kernel` (all
+/// candidates valid), each fused with the indexed selection.
+std::vector<SelectionRound> selection_rounds(const Kernel& kernel,
+                                             const TargetModel& target,
+                                             const SlpOptions& options) {
+    std::vector<SelectionRound> rounds;
+    for (const BlockId block : kernel.blocks_in_order()) {
+        if (kernel.block(block).ops.size() < 2) continue;
+        PackedView view(kernel, block);
+        for (int r = 0; r < options.max_rounds; ++r) {
+            std::vector<Candidate> candidates = extract_candidates(view, target);
+            if (candidates.empty()) break;
+            ConflictSet conflicts =
+                detect_structural_conflicts(view, candidates);
+            const std::vector<Candidate> selected = select_candidates(
+                view, candidates, conflicts, target, options.benefit_mode,
+                options.min_benefit, {}, nullptr);
+            rounds.push_back(SelectionRound{view, std::move(candidates),
+                                            std::move(conflicts)});
+            if (selected.empty()) break;
+            std::vector<std::vector<int>> tuples;
+            for (const Candidate& c : selected) tuples.push_back(c.nodes);
+            view.fuse(tuples);
+        }
+    }
+    return rounds;
+}
+
+/// Per-kernel greedy selection on XENTIUM: the pool-scan reference against
+/// select_candidates over all of the kernel's rounds, best of `repeats`
+/// interleaved runs each, selections compared.
+SelectionReport bench_selection(
+    const std::vector<std::pair<std::string, Kernel>>& kernels, int repeats) {
+    SelectionReport report;
+    const TargetModel target = targets::xentium();
+    const SlpOptions options;
+    for (const auto& [name, kernel] : kernels) {
+        const std::vector<SelectionRound> rounds =
+            selection_rounds(kernel, target, options);
+        SelectionKernelReport kr;
+        kr.kernel = name;
+        kr.rounds = static_cast<int>(rounds.size());
+        for (const SelectionRound& round : rounds) {
+            kr.candidates += static_cast<long long>(round.candidates.size());
+        }
+        kr.reference_ms = kr.indexed_ms =
+            std::numeric_limits<double>::infinity();
+        for (int r = 0; r < repeats; ++r) {
+            std::vector<std::vector<Candidate>> expected, got;
+            auto start = std::chrono::steady_clock::now();
+            for (const SelectionRound& round : rounds) {
+                expected.push_back(reference::select_candidates(
+                    round.view, round.candidates, round.conflicts, target,
+                    options.benefit_mode, options.min_benefit));
+            }
+            kr.reference_ms =
+                std::min(kr.reference_ms, seconds_since(start) * 1000.0);
+            start = std::chrono::steady_clock::now();
+            for (const SelectionRound& round : rounds) {
+                got.push_back(select_candidates(
+                    round.view, round.candidates, round.conflicts, target,
+                    options.benefit_mode, options.min_benefit, {}, nullptr));
+            }
+            kr.indexed_ms =
+                std::min(kr.indexed_ms, seconds_since(start) * 1000.0);
+            if (got != expected) kr.bit_identical = false;
+        }
+        kr.speedup = kr.reference_ms / kr.indexed_ms;
+        if (!kr.bit_identical) report.bit_identical = false;
+        report.kernels.push_back(kr);
+    }
+    return report;
+}
+
 /// Geometric mean of the per-kernel speedups — the one-number summary
 /// that doesn't let a single large kernel drown out a regression on a
 /// small one.
@@ -502,7 +607,8 @@ std::string report_json(const std::vector<TabuReport>& tabu,
                         const CompiledReport& compiled,
                         const SweepReport& sweep,
                         const SolverReport& solver,
-                        const CalibrationReport& calibration) {
+                        const CalibrationReport& calibration,
+                        const SelectionReport& selection) {
     const bool tabu_identical =
         std::all_of(tabu.begin(), tabu.end(),
                     [](const TabuReport& r) { return r.bit_identical; });
@@ -566,7 +672,21 @@ std::string report_json(const std::vector<TabuReport>& tabu,
            << "}";
     }
     os << "],\"bit_identical\":"
-       << (calibration.bit_identical ? "true" : "false") << "}}\n";
+       << (calibration.bit_identical ? "true" : "false")
+       << "},\"selection\":{\"target\":\"XENTIUM\",\"kernels\":[";
+    for (size_t i = 0; i < selection.kernels.size(); ++i) {
+        const SelectionKernelReport& r = selection.kernels[i];
+        os << (i == 0 ? "" : ",") << "{\"kernel\":\"" << r.kernel
+           << "\",\"rounds\":" << r.rounds
+           << ",\"candidates\":" << r.candidates
+           << ",\"reference_ms\":" << json_number(r.reference_ms)
+           << ",\"indexed_ms\":" << json_number(r.indexed_ms)
+           << ",\"speedup\":" << json_number(r.speedup)
+           << ",\"bit_identical\":" << (r.bit_identical ? "true" : "false")
+           << "}";
+    }
+    os << "],\"bit_identical\":"
+       << (selection.bit_identical ? "true" : "false") << "}}\n";
     return os.str();
 }
 
@@ -582,7 +702,8 @@ int main(int argc, char** argv) {
         bench::parse_bench_args(argc, argv, spec);
 
     bench::print_header(
-        "perf_hotpaths: delta evaluation, compiled tape, gain calibration",
+        "perf_hotpaths: delta evaluation, compiled tape, gain calibration, "
+        "SLP selection",
         "inner-loop cost of the WLO flows (Section IV hot paths)");
 
     const long long tabu_moves = options.smoke ? 4000 : 40000;
@@ -681,8 +802,32 @@ int main(int argc, char** argv) {
             r.bit_identical ? "yes" : "NO");
     }
 
-    const std::string json =
-        report_json(tabu, noise, compiled, sweep, solver, calibration);
+    std::vector<std::pair<std::string, Kernel>> selection_kernels;
+    for (const char* name : {"stencil2d", "stencil1d"}) {
+        selection_kernels.emplace_back(
+            name, frontend::load_kernel_file(std::string(
+                                                 SLPWLO_KERNEL_CORPUS_DIR) +
+                                             "/" + name + ".slp")
+                      .kernel);
+    }
+    for (const char* name : {"CONV", "FIR"}) {
+        selection_kernels.emplace_back(
+            name, kernels::make_benchmark_kernel(name).kernel);
+    }
+    const SelectionReport selection =
+        bench_selection(selection_kernels, options.smoke ? 2 : 3);
+    std::printf("\ncandidate selection, pool-scan reference vs round "
+                "economics index (XENTIUM)\n");
+    for (const SelectionKernelReport& r : selection.kernels) {
+        std::printf(
+            "  %-9s %2d rounds %6lld candidates   reference %9.2f ms   "
+            "indexed %8.2f ms   %7.2fx   bit-identical: %s\n",
+            r.kernel.c_str(), r.rounds, r.candidates, r.reference_ms,
+            r.indexed_ms, r.speedup, r.bit_identical ? "yes" : "NO");
+    }
+
+    const std::string json = report_json(tabu, noise, compiled, sweep, solver,
+                                         calibration, selection);
     if (options.json_path.has_value()) {
         bench::emit_json_to(*options.json_path, json, 3);
     }
@@ -691,7 +836,7 @@ int main(int argc, char** argv) {
                     compiled.bit_identical && sweep.bytes_identical &&
                     sweep.stage_hits > 0 && solver.ran_everywhere &&
                     solver.all_proven && solver.gaps_nonnegative &&
-                    calibration.bit_identical;
+                    calibration.bit_identical && selection.bit_identical;
     if (!ok) {
         std::printf("\nFAIL: divergence between fast and reference paths\n");
         return 1;

@@ -118,11 +118,20 @@ std::vector<SimdGroup> accuracy_aware_slp(PackedView& view,
                 config.solver_stats->best_objective +=
                     result.solve.best_objective;
             }
+            // The model has no dependence-cycle constraint: the replay
+            // drops a pack that would close a cycle with the view and the
+            // packs replayed before it (a subset of a feasible selection
+            // stays feasible, so the replay still cannot veto).
+            PackCycleGuard cycles(view);
+            std::vector<Candidate> replayed;
             for (const Candidate& c : result.selected) {
+                if (cycles.closes_cycle(c)) continue;
                 SLPWLO_CHECK(hooks.try_select(c),
                              "exact selection failed its feasibility replay");
+                cycles.commit(c);
+                replayed.push_back(c);
             }
-            return result.selected;
+            return replayed;
         };
     }
 

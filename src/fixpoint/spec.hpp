@@ -13,7 +13,9 @@
 //
 // The spec supports nested checkpoints (save/revert/commit) because the
 // WLO algorithms of Fig. 1 speculatively apply WL changes, evaluate the
-// accuracy, and revert.
+// accuracy, and revert. Checkpoints are an undo log: while one is open,
+// every format change records the node's previous format, and a revert
+// undoes just those records — O(changes), not O(nodes).
 #pragma once
 
 #include <string>
@@ -89,23 +91,29 @@ public:
     using Checkpoint = size_t;
 
     Checkpoint checkpoint();
+    /// Restore every format to its value at `cp`, journaling each node the
+    /// restore changes (vars, then arrays, each by ascending id).
     void revert(Checkpoint cp);
     void commit(Checkpoint cp);
-    size_t open_checkpoints() const { return stack_.size(); }
+    size_t open_checkpoints() const { return marks_.size(); }
 
     std::string str() const;
 
 private:
-    struct Snapshot {
-        std::vector<FixedFormat> var_formats;
-        std::vector<FixedFormat> array_formats;
+    struct Undo {
+        NodeRef node;
+        FixedFormat old;
     };
+
+    FixedFormat& slot(NodeRef node);
 
     const Kernel* kernel_;
     std::vector<FixedFormat> var_formats_;
     std::vector<FixedFormat> array_formats_;
     std::vector<NodeRef> nodes_;
-    std::vector<Snapshot> stack_;
+    /// Undo-log length at each open checkpoint, innermost last.
+    std::vector<size_t> marks_;
+    std::vector<Undo> undo_;
     std::vector<NodeRef> journal_;
     QuantMode quant_mode_ = QuantMode::Truncate;
 };

@@ -638,7 +638,12 @@ FlowResult FlowPipeline::run(const KernelContext& context,
                                .target_name = target.name,
                                .target_fp = target_fingerprint(target),
                                .accuracy_db = options.accuracy_db,
-                               .spec = FixedPointSpec(context.kernel())});
+                               .spec = FixedPointSpec(context.kernel()),
+                               .groups = {},
+                               .slp_stats = {},
+                               .scaling_stats = {},
+                               .tabu_stats = {},
+                               .solver_stats = {}});
     ctx.cache = cache;
 
     // Stage memoization: when a cache is attached and this pipeline has

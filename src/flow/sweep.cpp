@@ -36,7 +36,8 @@ std::vector<SweepPoint> SweepDriver::grid(
         for (const std::string& target : targets) {
             for (const std::string& flow : flows) {
                 for (const double a : constraints) {
-                    points.push_back(SweepPoint{kernel, target, flow, a, {}, {}});
+                    points.push_back(
+                        SweepPoint{kernel, target, flow, a, {}, {}, {}});
                 }
             }
         }
@@ -64,7 +65,7 @@ std::vector<SweepPoint> SweepDriver::grid(
                 for (const std::string& flow : flows) {
                     for (const double a : constraints) {
                         points.push_back(SweepPoint{kernel, model.name, flow,
-                                                    a, {}, model});
+                                                    a, {}, model, {}});
                     }
                 }
             }

@@ -21,37 +21,31 @@ std::vector<Candidate> select_candidates(
     const PackedView& view, std::vector<Candidate> candidates,
     const ConflictSet& conflicts, const TargetModel& target, BenefitMode mode,
     double min_benefit, const TrySelect& try_select, int* rejected_count) {
-    std::vector<bool> alive(candidates.size(), true);
+    const size_t n = candidates.size();
+    const RoundEconomics economics(view, candidates, target);
+    PackCycleGuard cycles(view);
+    std::vector<char> alive(n, 1);
+    size_t alive_count = n;
+    CommitLog committed(n);
 
     std::vector<Candidate> selected;
-    std::vector<Candidate> committed;
-    int alive_count = static_cast<int>(candidates.size());
-
     while (alive_count > 0) {
         double best_score = 0.0;
         double best_saved = 0.0;
-        size_t best = candidates.size();
-        for (size_t i = 0; i < candidates.size(); ++i) {
+        size_t best = n;
+        for (size_t i = 0; i < n; ++i) {
             if (!alive[i]) continue;
             // Estimate against the candidates this selection could coexist
             // with: the alive non-conflicting ones plus the selections
             // already committed this round. Reuse promised by a candidate
-            // that selecting `i` would eliminate is not real. The pool
-            // holds pointers into the (stable) candidate/committed
-            // vectors — rebuilding it per evaluation copies nothing.
-            std::vector<const Candidate*> pool;
-            pool.reserve(static_cast<size_t>(alive_count) + committed.size());
-            for (size_t j = 0; j < candidates.size(); ++j) {
-                if (alive[j] && !conflicts.conflict(i, j)) {
-                    pool.push_back(&candidates[j]);
-                }
-            }
-            for (const Candidate& d : committed) pool.push_back(&d);
-            const Economics econ =
-                evaluate_candidate(view, pool, candidates[i], target);
+            // that selecting `i` would eliminate is not real.
+            const Economics econ = economics.evaluate(
+                i,
+                [&](size_t j) { return alive[j] && !conflicts.conflict(i, j); },
+                committed);
             const double score = benefit_score(econ, mode);
             const bool better =
-                best == candidates.size() || score > best_score ||
+                best == n || score > best_score ||
                 (score == best_score && econ.saved_ops > best_saved);
             if (better) {
                 best = i;
@@ -59,23 +53,26 @@ std::vector<Candidate> select_candidates(
                 best_saved = econ.saved_ops;
             }
         }
-        SLPWLO_ASSERT(best < candidates.size(), "no candidate selected");
+        SLPWLO_ASSERT(best < n, "no candidate selected");
         if (best_score < min_benefit) break;  // only unprofitable ones left
 
-        alive[best] = false;
+        alive[best] = 0;
         alive_count--;
-
+        // A pack whose members reach one another through the view (or
+        // through a pack committed earlier this round) cannot be lowered.
+        if (cycles.closes_cycle(candidates[best])) continue;
         if (try_select && !try_select(candidates[best])) {
             if (rejected_count != nullptr) (*rejected_count)++;
             continue;
         }
         selected.push_back(candidates[best]);
-        committed.push_back(candidates[best]);
+        committed.push(best);
+        cycles.commit(candidates[best]);
 
         // Eliminate everything in conflict with the selection.
-        for (size_t i = 0; i < candidates.size(); ++i) {
+        for (size_t i = 0; i < n; ++i) {
             if (alive[i] && conflicts.conflict(best, i)) {
-                alive[i] = false;
+                alive[i] = 0;
                 alive_count--;
             }
         }

@@ -31,9 +31,10 @@ using TrySelect = std::function<bool(const Candidate&)>;
 /// conflicting candidates after each selection, until none remain whose
 /// benefit reaches `min_benefit` (the profitability floor: a candidate
 /// whose packing/unpacking overhead swamps its reuse would degrade the
-/// SIMD code, Section II.A). Deterministic: ties break on saved ops, then
-/// on candidate order. Returns the selected candidates (pairs or k-lane
-/// run seeds) in selection order.
+/// SIMD code, Section II.A). A pick that would close a dependence cycle
+/// (PackCycleGuard) is dropped like a conflicting one. Deterministic:
+/// ties break on saved ops, then on candidate order. Returns the selected
+/// candidates (pairs or k-lane run seeds) in selection order.
 std::vector<Candidate> select_candidates(
     const PackedView& view, std::vector<Candidate> candidates,
     const ConflictSet& conflicts, const TargetModel& target, BenefitMode mode,

@@ -45,6 +45,66 @@ bool cyclic_dependency(const PackedView& view, const Candidate& x,
     return group_depends(y.nodes, x.nodes) && group_depends(x.nodes, y.nodes);
 }
 
+PackCycleGuard::PackCycleGuard(const PackedView& view)
+    : words_((static_cast<size_t>(view.size()) + 63) / 64),
+      reach_(static_cast<size_t>(view.size()),
+             std::vector<uint64_t>(words_, 0)) {
+    const int n = view.size();
+    for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+            if (i != j && view.depends(i, j)) {
+                reach_[static_cast<size_t>(i)][static_cast<size_t>(j) / 64] |=
+                    uint64_t{1} << (j % 64);
+            }
+        }
+    }
+    // Warshall closure: node dependences over fused nodes are not
+    // transitive (a may depend on one lane of x, another lane of x on b).
+    for (int k = 0; k < n; ++k) {
+        const std::vector<uint64_t>& via = reach_[static_cast<size_t>(k)];
+        for (int i = 0; i < n; ++i) {
+            std::vector<uint64_t>& row = reach_[static_cast<size_t>(i)];
+            if (i == k || !reaches(i, k)) continue;
+            for (size_t w = 0; w < words_; ++w) row[w] |= via[w];
+        }
+    }
+}
+
+bool PackCycleGuard::reaches(int from, int to) const {
+    return (reach_[static_cast<size_t>(from)][static_cast<size_t>(to) / 64] >>
+            (to % 64)) & 1u;
+}
+
+bool PackCycleGuard::closes_cycle(const Candidate& c) const {
+    for (const int a : c.nodes) {
+        for (const int b : c.nodes) {
+            if (a != b && reaches(a, b)) return true;
+        }
+    }
+    return false;
+}
+
+void PackCycleGuard::commit(const Candidate& c) {
+    // The condensed node reaches what any member reached; every node that
+    // reached a member now reaches all of that, and the members.
+    std::vector<uint64_t> merged(words_, 0);
+    std::vector<uint64_t> members(words_, 0);
+    for (const int m : c.nodes) {
+        const std::vector<uint64_t>& row = reach_[static_cast<size_t>(m)];
+        for (size_t w = 0; w < words_; ++w) merged[w] |= row[w];
+        members[static_cast<size_t>(m) / 64] |= uint64_t{1} << (m % 64);
+    }
+    for (std::vector<uint64_t>& row : reach_) {
+        bool hits = false;
+        for (size_t w = 0; w < words_ && !hits; ++w) {
+            hits = (row[w] & members[w]) != 0;
+        }
+        if (!hits) continue;
+        for (size_t w = 0; w < words_; ++w) row[w] |= merged[w] | members[w];
+    }
+    for (const int m : c.nodes) reach_[static_cast<size_t>(m)] = merged;
+}
+
 ConflictSet detect_structural_conflicts(
     const PackedView& view, const std::vector<Candidate>& candidates) {
     ConflictSet conflicts(candidates.size());

@@ -1,6 +1,8 @@
 #include "slp/packing_cost.hpp"
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 namespace slpwlo {
 
@@ -42,41 +44,6 @@ std::vector<OpId> operand_defs(const PackedView& view,
 
 namespace {
 
-enum class SuperwordMatch { No, Direct, Reversed };
-
-/// Does some candidate or existing group produce exactly `defs` — in lane
-/// order (Direct) or in reverse (Reversed, realizable with one vector
-/// permute; the FIR convolution's x-descending / c-ascending pattern)?
-/// A load producer only counts when its lanes are memory-adjacent: a
-/// gathered (non-contiguous) load group merely relocates the packing cost,
-/// it does not produce a free superword.
-SuperwordMatch producible_as_superword(
-    const PackedView& view, const std::vector<const Candidate*>& available,
-    const std::vector<OpId>& defs) {
-    if (defs.empty()) return SuperwordMatch::No;
-    std::vector<OpId> reversed(defs.rbegin(), defs.rend());
-
-    auto usable = [&view](const std::vector<OpId>& producer_lanes) {
-        if (view.kernel().op(producer_lanes.front()).kind != OpKind::Load) {
-            return true;
-        }
-        return lanes_memory_adjacent(view, producer_lanes);
-    };
-
-    for (const Candidate* c : available) {
-        const std::vector<OpId> lanes = fused_lanes(view, *c);
-        if (lanes == defs && usable(lanes)) return SuperwordMatch::Direct;
-        if (lanes == reversed && usable(lanes)) return SuperwordMatch::Reversed;
-    }
-    for (int i = 0; i < view.size(); ++i) {
-        if (view.width(i) < 2) continue;
-        const std::vector<OpId>& lanes = view.node(i).lanes;
-        if (lanes == defs && usable(lanes)) return SuperwordMatch::Direct;
-        if (lanes == reversed && usable(lanes)) return SuperwordMatch::Reversed;
-    }
-    return SuperwordMatch::No;
-}
-
 /// True if every lane reads the same live-in variable (splat).
 bool is_splat(const PackedView& view, const std::vector<OpId>& lanes,
               int slot) {
@@ -89,111 +56,172 @@ bool is_splat(const PackedView& view, const std::vector<OpId>& lanes,
     return true;
 }
 
-}  // namespace
-
-Economics evaluate_candidate(const PackedView& view,
-                             const std::vector<Candidate>& available,
-                             const Candidate& c, const TargetModel& target) {
-    std::vector<const Candidate*> pool;
-    pool.reserve(available.size());
-    for (const Candidate& a : available) pool.push_back(&a);
-    return evaluate_candidate(view, pool, c, target);
+/// A producer's lanes only yield a free superword when they are not a
+/// gathered (non-contiguous) load group — that merely relocates the
+/// packing cost.
+bool usable_producer(const PackedView& view, const std::vector<OpId>& lanes) {
+    if (view.kernel().op(lanes.front()).kind != OpKind::Load) return true;
+    return lanes_memory_adjacent(view, lanes);
 }
 
-Economics evaluate_candidate(const PackedView& view,
-                             const std::vector<const Candidate*>& available,
-                             const Candidate& c, const TargetModel& target) {
-    Economics econ;
-    // n node issues become one (1.0 for a pair; a k-lane run seed saves
-    // k - 1 issues in one step).
-    econ.saved_ops = static_cast<double>(c.node_count() - 1);
-    const Kernel& kernel = view.kernel();
-    const std::vector<OpId> lanes = fused_lanes(view, c);
-    const int w = static_cast<int>(lanes.size());
-    const OpKind kind = view.kind(c.nodes.front());
+using LaneIndex = std::map<std::vector<OpId>, std::vector<uint32_t>>;
 
-    if (kind == OpKind::Load || kind == OpKind::Store) {
-        if (!lanes_memory_adjacent(view, lanes)) {
+const std::vector<uint32_t>& lookup(const LaneIndex& index,
+                                    const std::vector<OpId>& lanes) {
+    static const std::vector<uint32_t> none;
+    const auto it = index.find(lanes);
+    return it == index.end() ? none : it->second;
+}
+
+}  // namespace
+
+RoundEconomics::RoundEconomics(const PackedView& view,
+                               const std::vector<Candidate>& candidates,
+                               const TargetModel& target) {
+    const Kernel& kernel = view.kernel();
+    const size_t n = candidates.size();
+
+    // Fused lanes, and candidates by fused lanes (ascending index). Equal
+    // lanes mean equal node lists: view nodes partition the block's ops.
+    std::vector<std::vector<OpId>> lanes(n);
+    LaneIndex by_lanes;
+    for (size_t i = 0; i < n; ++i) {
+        lanes[i] = fused_lanes(view, candidates[i]);
+        by_lanes[lanes[i]].push_back(static_cast<uint32_t>(i));
+    }
+    // View groups, for the last pool tier.
+    std::set<std::vector<OpId>> view_groups;
+    for (int v = 0; v < view.size(); ++v) {
+        if (view.width(v) >= 2) view_groups.insert(view.node(v).lanes);
+    }
+
+    entries_.resize(n);
+    std::vector<std::vector<Consumer>> consumers(n);
+    for (size_t i = 0; i < n; ++i) {
+        const Candidate& c = candidates[i];
+        const std::vector<OpId>& li = lanes[i];
+        Entry& e = entries_[i];
+        const int w = static_cast<int>(li.size());
+        const OpKind kind = view.kind(c.nodes.front());
+
+        // n node issues become one (1.0 for a pair; a k-lane run seed saves
+        // k - 1 issues in one step).
+        e.saved_ops = static_cast<double>(c.node_count() - 1);
+        if ((kind == OpKind::Load || kind == OpKind::Store) &&
+            !lanes_memory_adjacent(view, li)) {
             // Gather/scatter: synthesize the vector (or tear it apart)
             // lane by lane.
-            econ.pack_cost += (w - 1) * target.pack2_ops;
+            e.gather_cost = (w - 1) * target.pack2_ops;
         }
-    }
 
-    // Operand superwords of arithmetic ops and the stored value of stores.
-    const int slots = kernel.op(lanes.front()).num_args();
-    for (int slot = 0; slot < slots; ++slot) {
-        // acc = acc + p: the operand is the group's own previous-iteration
-        // result, held in a vector register — a reuse, not a pack.
-        const bool self_accumulation = std::all_of(
-            lanes.begin(), lanes.end(), [&](OpId lane) {
-                const Op& op = kernel.op(lane);
-                return op.dest.valid() && op.args[slot] == op.dest &&
-                       !view.def_of_arg(lane, slot).valid();
-            });
-        if (self_accumulation) {
-            econ.reuse += 1.0;
-            continue;
-        }
-        const std::vector<OpId> defs = operand_defs(view, lanes, slot);
-        switch (producible_as_superword(view, available, defs)) {
-            case SuperwordMatch::Direct:
-                econ.reuse += 1.0;
-                break;
-            case SuperwordMatch::Reversed:
-                econ.reuse += 1.0;
-                econ.pack_cost += 1.0;  // one vector permute
-                break;
-            case SuperwordMatch::No:
-                if (!defs.empty() && lanes_memory_adjacent(view, defs)) {
-                    // Loads that could be vectorized even w/o a candidate.
-                    econ.reuse += 0.5;
-                } else if (is_splat(view, lanes, slot)) {
-                    econ.pack_cost += 1.0;
-                } else {
-                    econ.pack_cost += (w - 1) * target.pack2_ops;
-                }
-                break;
-        }
-    }
-
-    // Result side (stores produce no value).
-    if (kind != OpKind::Store) {
-        // A consuming candidate whose operand lanes match c's lanes turns
-        // the result into a reused superword. A self-accumulating group
-        // consumes its own result in the next iteration.
-        bool consumed_as_superword = false;
-        for (int slot = 0; slot < slots && !consumed_as_superword; ++slot) {
-            consumed_as_superword = std::all_of(
-                lanes.begin(), lanes.end(), [&](OpId lane) {
+        // Operand superwords of arithmetic ops and the stored value of
+        // stores.
+        const int slots = kernel.op(li.front()).num_args();
+        e.slots.resize(static_cast<size_t>(slots));
+        for (int s = 0; s < slots; ++s) {
+            Slot& slot = e.slots[static_cast<size_t>(s)];
+            // acc = acc + p: the operand is the group's own previous-
+            // iteration result, held in a vector register — a reuse, not
+            // a pack.
+            slot.self_accumulation =
+                std::all_of(li.begin(), li.end(), [&](OpId lane) {
                     const Op& op = kernel.op(lane);
-                    return op.dest.valid() && op.args[slot] == op.dest;
+                    return op.dest.valid() && op.args[s] == op.dest &&
+                           !view.def_of_arg(lane, s).valid();
                 });
-        }
-        const std::vector<OpId> lanes_reversed(lanes.rbegin(), lanes.rend());
-        for (const Candidate* d : available) {
-            if (*d == c) continue;
-            const std::vector<OpId> dl = fused_lanes(view, *d);
-            const int dslots = kernel.op(dl.front()).num_args();
-            for (int slot = 0; slot < dslots; ++slot) {
-                const std::vector<OpId> defs = operand_defs(view, dl, slot);
-                if (defs == lanes || defs == lanes_reversed) {
-                    econ.reuse += 1.0;
-                    consumed_as_superword = true;
+            if (slot.self_accumulation) continue;
+
+            const std::vector<OpId> defs = operand_defs(view, li, s);
+            if (!defs.empty()) {
+                const std::vector<OpId> reversed(defs.rbegin(), defs.rend());
+                for (const uint32_t j : lookup(by_lanes, defs)) {
+                    if (usable_producer(view, lanes[j])) {
+                        slot.producers.push_back({j, SuperwordMatch::Direct});
+                    }
+                }
+                for (const uint32_t j : lookup(by_lanes, reversed)) {
+                    if (usable_producer(view, lanes[j])) {
+                        slot.producers.push_back(
+                            {j, SuperwordMatch::Reversed});
+                    }
+                }
+                // Ascending index, as the pool is scanned. No producer
+                // matches both ways: its lanes are distinct ops, so they
+                // are never their own reverse.
+                std::sort(slot.producers.begin(), slot.producers.end(),
+                          [](const Producer& a, const Producer& b) {
+                              return a.j < b.j;
+                          });
+
+                // A view group producing the operand. (A group and its
+                // reverse never both exist: view nodes partition the
+                // block's ops.)
+                if (view_groups.count(defs) && usable_producer(view, defs)) {
+                    slot.view_match = SuperwordMatch::Direct;
+                } else if (view_groups.count(reversed) &&
+                           usable_producer(view, reversed)) {
+                    slot.view_match = SuperwordMatch::Reversed;
                 }
             }
+            if (!defs.empty() && lanes_memory_adjacent(view, defs)) {
+                // Loads that could be vectorized even w/o a candidate.
+                slot.adjacent_defs = true;
+            } else if (is_splat(view, li, s)) {
+                slot.fallback_pack = 1.0;
+            } else {
+                slot.fallback_pack = (w - 1) * target.pack2_ops;
+            }
         }
-        if (!consumed_as_superword) {
-            for (const OpId lane : lanes) {
+
+        // Result side (stores produce no value).
+        e.produces_value = kind != OpKind::Store;
+        if (e.produces_value) {
+            // A self-accumulating group consumes its own result in the
+            // next iteration.
+            for (int s = 0; s < slots && !e.self_consumed; ++s) {
+                e.self_consumed =
+                    std::all_of(li.begin(), li.end(), [&](OpId lane) {
+                        const Op& op = kernel.op(lane);
+                        return op.dest.valid() && op.args[s] == op.dest;
+                    });
+            }
+            // Extraction cost, summed in lane order, paid when no consuming
+            // candidate takes the result as a superword.
+            for (const OpId lane : li) {
                 if (!view.consumers_of(lane).empty() ||
                     view.has_external_uses(lane)) {
-                    econ.unpack_cost += target.extract_ops;
+                    e.extract_cost += target.extract_ops;
+                }
+            }
+        }
+
+        // Consumer side, from i's point of view as a consumer: each operand
+        // slot of i whose defs are some candidate's lanes (in either
+        // order) makes i a consumer of that candidate. (Never of itself,
+        // or of a copy of itself: a candidate's lanes are mutually
+        // independent.)
+        for (int s = 0; s < slots; ++s) {
+            const std::vector<OpId> defs = operand_defs(view, li, s);
+            if (defs.empty()) continue;
+            const std::vector<OpId> reversed(defs.rbegin(), defs.rend());
+            for (const std::vector<OpId>* key : {&defs, &reversed}) {
+                for (const uint32_t p : lookup(by_lanes, *key)) {
+                    std::vector<Consumer>& list = consumers[p];
+                    if (!list.empty() && list.back().d == i) {
+                        list.back().slots++;
+                    } else {
+                        list.push_back({static_cast<uint32_t>(i), 1});
+                    }
                 }
             }
         }
     }
 
-    return econ;
+    for (size_t i = 0; i < n; ++i) {
+        if (entries_[i].produces_value) {
+            entries_[i].consumers = std::move(consumers[i]);
+        }
+    }
 }
 
 }  // namespace slpwlo

@@ -13,17 +13,13 @@ PackSelectResult select_packs_exact(
 
     // Round-start weights: each candidate scored once against everything
     // it does not conflict with (the greedy loop's first-pick pool).
+    const RoundEconomics economics(view, candidates, target);
+    const CommitLog none(candidates.size());
     std::vector<double> weight(candidates.size(), 0.0);
     for (size_t i = 0; i < candidates.size(); ++i) {
-        std::vector<const Candidate*> pool;
-        pool.reserve(candidates.size());
-        for (size_t j = 0; j < candidates.size(); ++j) {
-            if (j != i && !conflicts.conflict(i, j)) {
-                pool.push_back(&candidates[j]);
-            }
-        }
-        const Economics econ =
-            evaluate_candidate(view, pool, candidates[i], target);
+        const Economics econ = economics.evaluate(
+            i, [&](size_t j) { return j != i && !conflicts.conflict(i, j); },
+            none);
         weight[i] = benefit_score(econ, options.benefit_mode);
     }
 

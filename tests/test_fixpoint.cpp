@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "fixpoint/iwl.hpp"
 #include "sim/fixed_sim.hpp"
@@ -336,6 +337,116 @@ TEST(Iwl, NoOverflowInFixedSimAtGenerousWl) {
         }
         const auto result = run_fixed(*k, spec, make_stimulus(*k, 5));
         EXPECT_EQ(result.overflow_count, 0) << k->name();
+    }
+}
+
+// The checkpoint semantics before the undo log, kept as a model: a
+// checkpoint copies every format; revert journals each node whose format
+// differs from the copy (vars, then arrays, each by ascending id) and
+// restores the copy.
+class SnapshotSpecModel {
+public:
+    explicit SnapshotSpecModel(const Kernel& kernel)
+        : vars_(kernel.vars().size(), FixedFormat(1, 0)),
+          arrays_(kernel.arrays().size(), FixedFormat(1, 0)) {}
+
+    FixedFormat& at(NodeRef node) {
+        return node.kind == NodeRef::Kind::Var
+                   ? vars_[static_cast<size_t>(node.id)]
+                   : arrays_[static_cast<size_t>(node.id)];
+    }
+    void set_format(NodeRef node, const FixedFormat& fmt) {
+        if (at(node) == fmt) return;
+        at(node) = fmt;
+        journal.push_back(node);
+    }
+    void checkpoint() { stack_.push_back({vars_, arrays_}); }
+    void revert() {
+        const Snapshot& snap = stack_.back();
+        for (size_t v = 0; v < vars_.size(); ++v) {
+            if (!(vars_[v] == snap.vars[v])) {
+                journal.push_back(
+                    NodeRef::of_var(VarId(static_cast<int32_t>(v))));
+            }
+        }
+        for (size_t a = 0; a < arrays_.size(); ++a) {
+            if (!(arrays_[a] == snap.arrays[a])) {
+                journal.push_back(
+                    NodeRef::of_array(ArrayId(static_cast<int32_t>(a))));
+            }
+        }
+        vars_ = snap.vars;
+        arrays_ = snap.arrays;
+        stack_.pop_back();
+    }
+    void commit() { stack_.pop_back(); }
+    size_t depth() const { return stack_.size(); }
+
+    std::vector<NodeRef> journal;
+
+private:
+    struct Snapshot {
+        std::vector<FixedFormat> vars;
+        std::vector<FixedFormat> arrays;
+    };
+    std::vector<FixedFormat> vars_;
+    std::vector<FixedFormat> arrays_;
+    std::vector<Snapshot> stack_;
+};
+
+TEST(Spec, UndoLogCheckpointsMatchSnapshotModel) {
+    for (const Kernel* kernel : {&small_fir(), &small_iir()}) {
+        for (uint64_t seed = 1; seed <= 8; ++seed) {
+            FixedPointSpec spec(*kernel);
+            SnapshotSpecModel model(*kernel);
+            std::vector<FixedPointSpec::Checkpoint> open;
+            const std::vector<NodeRef>& nodes = spec.nodes();
+            Rng rng(seed);
+            for (int step = 0; step < 600; ++step) {
+                const int op = rng.uniform_int(0, 9);
+                if (op <= 5) {
+                    // Few distinct word lengths, so nodes often change and
+                    // change back inside one checkpoint.
+                    const NodeRef node = nodes[static_cast<size_t>(
+                        rng.uniform_int(0, static_cast<int>(nodes.size()) - 1))];
+                    if (op == 5) {
+                        const int iwl = rng.uniform_int(1, 3);
+                        spec.set_iwl(node, iwl);
+                        FixedFormat fmt = model.at(node);
+                        fmt.iwl = iwl;
+                        model.set_format(node, fmt);
+                    } else {
+                        const int wl = 8 + 4 * rng.uniform_int(0, 2);
+                        spec.set_wl(node, wl);
+                        model.set_format(node, model.at(node).with_wl(wl));
+                    }
+                } else if (op <= 7 && open.size() < 5) {
+                    open.push_back(spec.checkpoint());
+                    model.checkpoint();
+                } else if (!open.empty()) {
+                    if (op == 8) {
+                        spec.revert(open.back());
+                        model.revert();
+                    } else {
+                        spec.commit(open.back());
+                        model.commit();
+                    }
+                    open.pop_back();
+                }
+                ASSERT_EQ(spec.open_checkpoints(), model.depth());
+                for (const NodeRef node : nodes) {
+                    ASSERT_EQ(spec.format(node), model.at(node))
+                        << "seed " << seed << " step " << step;
+                }
+                ASSERT_EQ(spec.journal_size(), model.journal.size())
+                    << "seed " << seed << " step " << step;
+                for (size_t i = 0; i < model.journal.size(); ++i) {
+                    ASSERT_EQ(spec.journal_entry(i), model.journal[i])
+                        << "seed " << seed << " step " << step << " entry "
+                        << i;
+                }
+            }
+        }
     }
 }
 

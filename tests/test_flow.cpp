@@ -2,8 +2,14 @@
 // the benchmark kernels, checking the paper's qualitative claims.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "flow/flow.hpp"
 #include "flow/report.hpp"
+#include "frontend/kernel_file.hpp"
+#include "frontend/kernel_gen.hpp"
 #include "target/target_model.hpp"
 #include "support/diagnostics.hpp"
 #include "test_util.hpp"
@@ -135,6 +141,37 @@ TEST(Flow, MeasuredNoiseTracksAnalytic) {
         run_wlo_slp_flow(ctx_fir(), targets::vex4(), options);
     const double measured = measured_noise_db(ctx_fir(), result);
     EXPECT_NEAR(measured, result.analytic_noise_db, 4.0);
+}
+
+TEST(Flow, WloFirstAnswersWherePlainSlpFormedCyclicPacks) {
+    // Plain SLP used to select packs whose units form a dependence cycle
+    // through fused nodes (invisible to the pairwise conflict check), and
+    // lowering stopped with "cyclic unit dependences in block lowering"
+    // at exactly these points.
+    const kernels::BenchmarkKernel stencil = frontend::load_kernel_file(
+        std::string(SLPWLO_KERNEL_CORPUS_DIR) + "/stencil2d.slp");
+    const kernels::BenchmarkKernel gen =
+        frontend::generate_kernel(7850360376960094126ull);
+    ASSERT_EQ(gen.name, "gen_7850360376960094126");
+    const KernelContext stencil_ctx(stencil.kernel, stencil.range_options);
+    const KernelContext gen_ctx(gen.kernel, gen.range_options);
+    const std::vector<std::tuple<const KernelContext*, std::string, double>>
+        points = {{&stencil_ctx, "XENTIUM", -45.0},
+                  {&stencil_ctx, "NEON128", -45.0},
+                  {&stencil_ctx, "DSP64", -47.0},
+                  {&gen_ctx, "VEX-1", -60.0},
+                  {&gen_ctx, "VEX-4", -60.0}};
+    for (const auto& [ctx, target, db] : points) {
+        FlowOptions options;
+        options.accuracy_db = db;
+        EXPECT_NO_THROW({
+            const FlowResult result =
+                run_wlo_first_flow(*ctx, targets::by_name(target), options);
+            EXPECT_GT(result.group_count, 0);
+            EXPECT_LE(result.analytic_noise_db, db + 1e-9);
+        }) << ctx->kernel().name()
+           << " @ " << target << " " << db << " dB";
+    }
 }
 
 }  // namespace

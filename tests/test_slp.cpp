@@ -2,9 +2,19 @@
 // economics, extraction engine and the plain (WLO-First) extractor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <set>
+#include <string>
+
+#include "economics_reference.hpp"
+#include "frontend/kernel_file.hpp"
+#include "frontend/kernel_gen.hpp"
 #include "slp/plain_extractor.hpp"
 #include "support/diagnostics.hpp"
+#include "support/rng.hpp"
 #include "target/target_model.hpp"
+#include "target/target_registry.hpp"
 #include "test_util.hpp"
 
 namespace slpwlo {
@@ -242,7 +252,8 @@ TEST(Economics, AdjacentLoadPairIsCheap) {
     bool found_cheap_load = false;
     for (const Candidate& c : candidates) {
         if (view.kind(c.nodes.front()) != OpKind::Load) continue;
-        const Economics econ = evaluate_candidate(view, candidates, c, target);
+        const Economics econ =
+            reference::evaluate_candidate(view, candidates, c, target);
         if (lanes_memory_adjacent(view, fused_lanes(view, c))) {
             EXPECT_EQ(econ.pack_cost, 0.0);
             found_cheap_load = true;
@@ -260,7 +271,8 @@ TEST(Economics, SelfAccumulationCountsAsReuse) {
     const auto candidates = extract_candidates(view, target);
     for (const Candidate& c : candidates) {
         if (view.kind(c.nodes.front()) != OpKind::Add) continue;
-        const Economics econ = evaluate_candidate(view, candidates, c, target);
+        const Economics econ =
+            reference::evaluate_candidate(view, candidates, c, target);
         EXPECT_GE(econ.reuse, 1.0);  // acc operand is a held vector register
     }
 }
@@ -360,6 +372,254 @@ TEST(Extraction, GroupsAreDisjointAndIndependent) {
             }
         }
     }
+}
+
+// --- round economics oracle -------------------------------------------------------
+//
+// RoundEconomics must reproduce the pool-scan reference
+// (tests/economics_reference.hpp) bit for bit: for every evaluation the
+// greedy loop makes, for the exact selector's round-start pools, and for
+// random pools and commit orders; and the indexed select_candidates must
+// pick the same sequence.
+
+struct OracleCounts {
+    long long evaluations = 0;
+    long long mismatches = 0;
+    long long rounds = 0;
+};
+
+/// Candidate lists as extract_candidates builds them orient each node set
+/// once. With `both_orientations` every round also carries each
+/// candidate reversed and one exact duplicate, so a producer and its
+/// reverse, and a candidate equal to the one scored, meet in one pool.
+void expect_economics_match_reference(const Kernel& kernel,
+                                      const TargetModel& target,
+                                      OracleCounts& counts,
+                                      bool both_orientations = false) {
+    Rng rng(0x5e1ec7ull ^ static_cast<uint64_t>(kernel.ops().size()));
+    const SlpOptions options;
+    for (const BlockId block : kernel.blocks_in_order()) {
+        if (kernel.block(block).ops.size() < 2) continue;
+        PackedView view(kernel, block);
+        for (int round = 0; round < options.max_rounds; ++round) {
+            std::vector<Candidate> candidates =
+                extract_candidates(view, target);
+            if (candidates.empty()) break;
+            if (both_orientations) {
+                const size_t extracted = candidates.size();
+                for (size_t i = 0; i < extracted; ++i) {
+                    const std::vector<int>& nodes = candidates[i].nodes;
+                    candidates.emplace_back(
+                        std::vector<int>(nodes.rbegin(), nodes.rend()));
+                }
+                candidates.push_back(candidates.front());
+            }
+            counts.rounds++;
+            const size_t n = candidates.size();
+            const ConflictSet conflicts =
+                detect_structural_conflicts(view, candidates);
+            const RoundEconomics economics(view, candidates, target);
+            auto check = [&](size_t i, const auto& in_pool,
+                             const std::vector<size_t>& committed,
+                             const Economics& expected) {
+                CommitLog log(n);
+                for (const size_t k : committed) log.push(k);
+                counts.evaluations++;
+                if (!reference::economics_bit_identical(
+                        economics.evaluate(i, in_pool, log), expected)) {
+                    counts.mismatches++;
+                    ADD_FAILURE() << kernel.name() << " @ " << target.name
+                                  << " round " << round << " candidate " << i;
+                }
+            };
+
+            // Every evaluation of the reference greedy loop.
+            const std::vector<Candidate> expected = reference::select_candidates(
+                view, candidates, conflicts, target, options.benefit_mode,
+                options.min_benefit, {}, nullptr,
+                [&](size_t i, const std::vector<char>& alive,
+                    const std::vector<size_t>& committed,
+                    const Economics& econ) {
+                    check(
+                        i,
+                        [&](size_t j) {
+                            return alive[j] && !conflicts.conflict(i, j);
+                        },
+                        committed, econ);
+                });
+            const std::vector<Candidate> selected = select_candidates(
+                view, candidates, conflicts, target, options.benefit_mode,
+                options.min_benefit, {}, nullptr);
+            EXPECT_EQ(selected, expected)
+                << kernel.name() << " @ " << target.name << " round "
+                << round;
+
+            // Round-start weights of the exact selector, and random pools
+            // with random commit orders.
+            std::vector<reference::ScanFacts> facts;
+            for (const Candidate& c : candidates) {
+                facts.push_back(reference::scan_facts(view, c));
+            }
+            for (size_t i = 0; i < n; ++i) {
+                std::vector<const reference::ScanFacts*> pool;
+                for (size_t j = 0; j < n; ++j) {
+                    if (j != i && !conflicts.conflict(i, j)) {
+                        pool.push_back(&facts[j]);
+                    }
+                }
+                check(
+                    i,
+                    [&](size_t j) { return j != i && !conflicts.conflict(i, j); },
+                    {}, reference::evaluate_scan(view, pool, facts[i], target));
+            }
+            for (int trial = 0; trial < 24; ++trial) {
+                const size_t i = static_cast<size_t>(
+                    rng.uniform_int(0, static_cast<int>(n) - 1));
+                std::vector<char> member(n, 0);
+                for (size_t j = 0; j < n; ++j) {
+                    member[j] = rng.uniform_int(0, 1) != 0;
+                }
+                std::vector<size_t> order(n);
+                for (size_t j = 0; j < n; ++j) order[j] = j;
+                for (size_t j = n; j > 1; --j) {
+                    std::swap(order[j - 1],
+                              order[static_cast<size_t>(rng.uniform_int(
+                                  0, static_cast<int>(j) - 1))]);
+                }
+                order.resize(std::min<size_t>(
+                    n, static_cast<size_t>(rng.uniform_int(0, 6))));
+                std::vector<const reference::ScanFacts*> pool;
+                for (size_t j = 0; j < n; ++j) {
+                    if (member[j]) pool.push_back(&facts[j]);
+                }
+                for (const size_t k : order) pool.push_back(&facts[k]);
+                check(
+                    i, [&](size_t j) { return member[j] != 0; }, order,
+                    reference::evaluate_scan(view, pool, facts[i], target));
+            }
+
+            if (selected.empty()) break;
+            std::vector<std::vector<int>> tuples;
+            for (const Candidate& c : selected) tuples.push_back(c.nodes);
+            view.fuse(tuples);
+        }
+    }
+}
+
+void expect_economics_match_reference(const Kernel& kernel,
+                                      OracleCounts& counts,
+                                      bool both_orientations = false) {
+    for (const std::string& name : TargetRegistry::instance().names()) {
+        expect_economics_match_reference(kernel, targets::by_name(name),
+                                         counts, both_orientations);
+    }
+}
+
+TEST(EconomicsOracle, BuiltinKernels) {
+    OracleCounts counts;
+    for (const std::string& name : kernels::benchmark_kernel_names()) {
+        expect_economics_match_reference(
+            kernels::make_benchmark_kernel(name).kernel, counts);
+    }
+    EXPECT_EQ(counts.mismatches, 0);
+    EXPECT_GT(counts.evaluations, 1000);
+}
+
+TEST(EconomicsOracle, KernelCorpus) {
+    std::vector<std::string> paths;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(SLPWLO_KERNEL_CORPUS_DIR)) {
+        if (entry.path().extension() == ".slp") {
+            paths.push_back(entry.path().string());
+        }
+    }
+    std::sort(paths.begin(), paths.end());
+    ASSERT_GE(paths.size(), 7u);
+    OracleCounts counts;
+    for (const std::string& path : paths) {
+        expect_economics_match_reference(
+            frontend::load_kernel_file(path).kernel, counts);
+    }
+    EXPECT_EQ(counts.mismatches, 0);
+    EXPECT_GT(counts.rounds, 20);
+}
+
+TEST(EconomicsOracle, GeneratedKernels) {
+    frontend::GenOptions hostile;
+    hostile.slp_hostile = true;
+    OracleCounts counts;
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+        expect_economics_match_reference(
+            frontend::generate_kernel(seed).kernel, counts);
+    }
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        expect_economics_match_reference(
+            frontend::generate_kernel(seed, hostile).kernel, counts);
+    }
+    EXPECT_EQ(counts.mismatches, 0);
+}
+
+TEST(EconomicsOracle, BothOrientationsAndDuplicates) {
+    OracleCounts counts;
+    for (const std::string& name : kernels::benchmark_kernel_names()) {
+        expect_economics_match_reference(
+            kernels::make_benchmark_kernel(name).kernel, counts, true);
+    }
+    expect_economics_match_reference(small_fir(), counts, true);
+    expect_economics_match_reference(::slpwlo::testing::small_conv(), counts,
+                                     true);
+    EXPECT_EQ(counts.mismatches, 0);
+    EXPECT_GT(counts.evaluations, 1000);
+}
+
+// --- dependence cycles through fused nodes ------------------------------------------
+
+TEST(PackCycleGuard, SeesCyclesThroughCommittedPacks) {
+    // b -> x2 and x1 -> a: {a, b} and {x1, x2} are each independent
+    // pairs, but with {x1, x2} fused, a depends on it and it depends on b.
+    KernelBuilder kb("cycle_via_pack");
+    const ArrayId x = kb.input("x", 4, Interval(-1.0, 1.0));
+    const ArrayId y = kb.input("y", 4, Interval(-1.0, 1.0));
+    const ArrayId out = kb.output("out", 4);
+    const VarId b = kb.load(x, Affine(0));  // node 0
+    const VarId x2 = kb.mul(b, b);                    // node 1
+    const VarId x1 = kb.load(y, Affine(0));  // node 2
+    const VarId a = kb.mul(x1, x1);                   // node 3
+    kb.store(out, Affine(0), a);
+    kb.store(out, Affine(1), x2);
+    const Kernel k = kb.take();
+    PackedView view(k, k.blocks_in_order()[0]);
+    ASSERT_TRUE(view.independent(3, 0));
+    ASSERT_TRUE(view.independent(2, 1));
+
+    PackCycleGuard guard(view);
+    const Candidate pack_x{2, 1};
+    const Candidate pack_ab{3, 0};
+    EXPECT_FALSE(guard.closes_cycle(pack_x));
+    EXPECT_FALSE(guard.closes_cycle(pack_ab));
+    guard.commit(pack_x);
+    EXPECT_TRUE(guard.closes_cycle(pack_ab));
+}
+
+TEST(PackCycleGuard, SeesCyclesThroughFusedViewNodes) {
+    // Same shape one round later: with {x1, x2} already a view node, a and
+    // b stay independent at node level, yet fusing them closes a cycle.
+    KernelBuilder kb("cycle_via_view");
+    const ArrayId x = kb.input("x", 4, Interval(-1.0, 1.0));
+    const ArrayId y = kb.input("y", 4, Interval(-1.0, 1.0));
+    const ArrayId out = kb.output("out", 4);
+    const VarId b = kb.load(x, Affine(0));
+    const VarId x2 = kb.mul(b, b);
+    const VarId x1 = kb.load(y, Affine(0));
+    const VarId a = kb.mul(x1, x1);
+    kb.store(out, Affine(0), a);
+    kb.store(out, Affine(1), x2);
+    const Kernel k = kb.take();
+    PackedView view(k, k.blocks_in_order()[0]);
+    view.fuse({{2, 1}});  // nodes: b(0), {x1, x2}(1), a(2), stores
+    ASSERT_EQ(view.width(1), 2);
+    ASSERT_TRUE(view.independent(0, 2));
+    EXPECT_TRUE(PackCycleGuard(view).closes_cycle(Candidate{2, 0}));
 }
 
 }  // namespace

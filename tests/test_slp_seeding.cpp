@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 
+#include "economics_reference.hpp"
 #include "flow/sweep.hpp"
 #include "ir/builder.hpp"
 #include "slp/packing_cost.hpp"
@@ -98,7 +99,8 @@ TEST(MemoryRuns, SeedsKLaneChunksOnCliffTargets) {
         // An adjacent k-lane load seed beats the scalar baseline in the
         // benefit model: k issues collapse into one vector load with no
         // packing.
-        const Economics econ = evaluate_candidate(view, seeds, c, cliff);
+        const Economics econ =
+            reference::evaluate_candidate(view, seeds, c, cliff);
         EXPECT_EQ(econ.saved_ops, 3.0);
         EXPECT_EQ(econ.pack_cost, 0.0);
     }
