@@ -26,9 +26,10 @@ int main(int argc, char** argv) {
     for (const std::string& kernel_name : kernels::paper_kernel_names()) {
         for (const TargetModel& target : ablation_targets) {
             for (const double a : {-25.0, -45.0, -65.0}) {
-                points.push_back({kernel_name, target.name, "WLO-SLP", a, {}, {}});
                 points.push_back(
-                    {kernel_name, target.name, "WLO-SLP", a, blind_options, {}});
+                    {kernel_name, target.name, "WLO-SLP", a, {}, {}, {}});
+                points.push_back(
+                    {kernel_name, target.name, "WLO-SLP", a, blind_options, {}, {}});
             }
         }
     }

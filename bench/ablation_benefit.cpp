@@ -27,11 +27,12 @@ int main(int argc, char** argv) {
     for (const std::string& kernel_name : kernels::paper_kernel_names()) {
         for (const TargetModel& target : ablation_targets) {
             for (const double a : {-15.0, -45.0}) {
-                points.push_back({kernel_name, target.name, "WLO-SLP", a, {}, {}});
                 points.push_back(
-                    {kernel_name, target.name, "WLO-SLP", a, savings_options, {}});
+                    {kernel_name, target.name, "WLO-SLP", a, {}, {}, {}});
                 points.push_back(
-                    {kernel_name, target.name, "WLO-SLP", a, no_floor_options, {}});
+                    {kernel_name, target.name, "WLO-SLP", a, savings_options, {}, {}});
+                points.push_back(
+                    {kernel_name, target.name, "WLO-SLP", a, no_floor_options, {}, {}});
             }
         }
     }

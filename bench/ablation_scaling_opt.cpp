@@ -20,9 +20,10 @@ int main(int argc, char** argv) {
     for (const std::string& kernel_name : kernels::paper_kernel_names()) {
         for (const TargetModel& target : targets::paper_targets()) {
             for (const double a : {-15.0, -35.0, -55.0}) {
-                points.push_back({kernel_name, target.name, "WLO-SLP", a, {}, {}});
                 points.push_back(
-                    {kernel_name, target.name, "WLO-SLP", a, off_options, {}});
+                    {kernel_name, target.name, "WLO-SLP", a, {}, {}, {}});
+                points.push_back(
+                    {kernel_name, target.name, "WLO-SLP", a, off_options, {}, {}});
             }
         }
     }

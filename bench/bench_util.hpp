@@ -106,7 +106,7 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
         } else if (spec.kernel_files && arg == "--corpus") {
             options.corpus_dirs.push_back(value());
         } else if (spec.json && arg == "--json") {
-            options.json_path = "-";
+            options.json_path = std::string("-");
         } else if (spec.json && arg.rfind("--json=", 0) == 0) {
             options.json_path = arg.substr(7);
         } else {

@@ -22,8 +22,10 @@ int main(int argc, char** argv) {
     for (const std::string& kernel_name : kernels::paper_kernel_names()) {
         for (const TargetModel& target : targets::paper_targets()) {
             for (const double a : constraint_grid()) {
-                points.push_back({kernel_name, target.name, "WLO-First", a, {}, {}});
-                points.push_back({kernel_name, target.name, "WLO-SLP", a, {}, {}});
+                points.push_back(
+                    {kernel_name, target.name, "WLO-First", a, {}, {}, {}});
+                points.push_back(
+                    {kernel_name, target.name, "WLO-SLP", a, {}, {}, {}});
             }
         }
     }

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     std::vector<SweepPoint> float_points;
     for (const TargetModel& target : figure_targets) {
         for (const std::string& k : kernels::paper_kernel_names()) {
-            float_points.push_back({k, target.name, "Float", 0.0, {}, {}});
+            float_points.push_back({k, target.name, "Float", 0.0, {}, {}, {}});
         }
     }
     const std::vector<SweepResult> float_results = driver().run(float_points);
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     for (const TargetModel& target : figure_targets) {
         for (const double a : constraint_grid(-5.0, -70.0)) {
             for (const std::string& k : kernels::paper_kernel_names()) {
-                points.push_back({k, target.name, "WLO-SLP", a, {}, {}});
+                points.push_back({k, target.name, "WLO-SLP", a, {}, {}, {}});
             }
         }
     }

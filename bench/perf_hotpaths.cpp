@@ -1,8 +1,8 @@
 // Hot-path performance harness: delta evaluation, the compiled
 // simulation tape, noise-gain calibration and SLP candidate selection.
 //
-// Seven measurements, each paired with a bit-identity check so a speedup
-// can never come from computing something different:
+// Eight measurements, each paired with a bit-identity or exact-count check
+// so a speedup can never come from computing something different:
 //
 //   1. Tabu move evaluation — incremental sessions (EvalSession +
 //      WlCostSession) against full noise/cost recomputation per candidate
@@ -32,19 +32,31 @@
 //      index) against the pool-scan greedy loop
 //      (tests/economics_reference.hpp) on every plain-extraction round of
 //      stencil2d, stencil1d, CONV and FIR; gated on identical selections.
+//   8. JIT builds — K distinct FIR specs compiled through the JitCache
+//      into a fresh directory at 1 thread and at min(4, nproc) threads:
+//      builds/s, object bytes, the most builds in flight at once; gated on
+//      exact build/hit counts and every object loading. Skipped (reported
+//      as available:false) without a usable host compiler or when
+//      $SLPWLO_JIT_DIR pins the cache directory.
 //
 // Emits a JSON report (--json / --json=FILE). Exits non-zero when any
 // bit-identity check fails — walker/tape divergence, delta/full
 // divergence, compiled/tape divergence, sparse/dense calibration
-// divergence or indexed/pool-scan selection divergence is a correctness
-// bug, not a performance result.
+// divergence, indexed/pool-scan selection divergence or an inexact JIT
+// build count is a correctness bug, not a performance result.
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "accuracy/analytic_evaluator.hpp"
@@ -53,6 +65,9 @@
 #include "core/wl_cost_model.hpp"
 #include "dist/cache_snapshot.hpp"
 #include "exec/compiled_evaluator.hpp"
+#include "exec/compiled_kernel.hpp"
+#include "exec/jit_cache.hpp"
+#include "exec/toolchain.hpp"
 #include "economics_reference.hpp"
 #include "frontend/kernel_file.hpp"
 #include "gain_reference.hpp"
@@ -359,6 +374,106 @@ CompiledReport bench_compiled_evals(const Kernel& kernel, long long evals) {
     return report;
 }
 
+struct JitLegReport {
+    int threads = 0;
+    long long builds = 0;
+    long long hits = 0;
+    long long peak_builds_in_flight = 0;
+    double builds_per_sec = 0.0;
+    long long object_bytes = 0;  ///< all .so files the leg published
+    bool all_loaded = true;      ///< every CompiledKernel::create succeeded
+};
+
+struct JitReport {
+    bool available = true;  ///< host toolchain usable, directory not pinned
+    int specs = 0;
+    std::vector<JitLegReport> legs;
+    bool counts_exact = true;  ///< every leg: builds == specs, hits == 0
+    bool all_loaded = true;
+};
+
+/// K distinct specs of `kernel` through CompiledKernel::create into a fresh
+/// JitCache directory per leg, the specs shared out over `threads` workers.
+JitLegReport bench_jit_leg(const Kernel& kernel,
+                           const std::vector<FixedPointSpec>& specs,
+                           int threads, int leg) {
+    namespace fs = std::filesystem;
+    JitLegReport report;
+    report.threads = threads;
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("slpwlo-jit-bench-" + std::to_string(::getpid()) + "-" +
+         std::to_string(leg));
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+    exec::set_jit_cache_directory(dir.string());
+    exec::reset_jit_cache_stats();
+
+    std::atomic<size_t> next{0};
+    std::atomic<bool> all_loaded{true};
+    const auto worker = [&] {
+        for (size_t i = next.fetch_add(1); i < specs.size();
+             i = next.fetch_add(1)) {
+            std::string error;
+            if (exec::CompiledKernel::create(kernel, specs[i], &error) ==
+                nullptr) {
+                all_loaded = false;
+            }
+        }
+    };
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (std::thread& thread : pool) thread.join();
+    report.builds_per_sec =
+        static_cast<double>(specs.size()) / seconds_since(start);
+
+    const exec::JitCacheStats stats = exec::jit_cache_stats();
+    report.builds = stats.builds;
+    report.hits = stats.hits;
+    report.peak_builds_in_flight = stats.peak_builds_in_flight;
+    report.all_loaded = all_loaded;
+    for (const auto& entry : fs::directory_iterator(dir, ec)) {
+        if (entry.path().extension() == ".so") {
+            report.object_bytes +=
+                static_cast<long long>(entry.file_size(ec));
+        }
+    }
+    exec::set_jit_cache_directory("");
+    fs::remove_all(dir, ec);
+    return report;
+}
+
+JitReport bench_jit(const Kernel& kernel, int specs) {
+    JitReport report;
+    report.specs = specs;
+    const char* pinned = std::getenv("SLPWLO_JIT_DIR");
+    if (!exec::host_toolchain().usable ||
+        (pinned != nullptr && pinned[0] != '\0')) {
+        report.available = false;
+        return report;
+    }
+    // Distinct format sets: uniform word lengths x both quantization modes.
+    std::vector<FixedPointSpec> distinct;
+    for (int i = 0; i < specs; ++i) {
+        FixedPointSpec spec(kernel);
+        spec.set_quant_mode(i % 2 == 0 ? QuantMode::Truncate
+                                       : QuantMode::Round);
+        for (const NodeRef node : spec.nodes()) spec.set_wl(node, 8 + i / 2);
+        distinct.push_back(std::move(spec));
+    }
+    const int hardware =
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+    int leg = 0;
+    for (const int threads : {1, std::min(4, hardware)}) {
+        report.legs.push_back(bench_jit_leg(kernel, distinct, threads, leg++));
+        const JitLegReport& r = report.legs.back();
+        if (r.builds != specs || r.hits != 0) report.counts_exact = false;
+        if (!r.all_loaded) report.all_loaded = false;
+    }
+    return report;
+}
+
 struct SweepReport {
     size_t points = 0;
     double cold_ms = 0.0;
@@ -605,6 +720,7 @@ double tabu_speedup_geomean(const std::vector<TabuReport>& reports) {
 std::string report_json(const std::vector<TabuReport>& tabu,
                         const NoiseReport& noise,
                         const CompiledReport& compiled,
+                        const JitReport& jit,
                         const SweepReport& sweep,
                         const SolverReport& solver,
                         const CalibrationReport& calibration,
@@ -641,6 +757,19 @@ std::string report_json(const std::vector<TabuReport>& tabu,
        << ",\"bit_identical\":"
        << (compiled.bit_identical ? "true" : "false")
        << ",\"available\":" << (compiled.available ? "true" : "false")
+       << "},\"jit\":{\"available\":" << (jit.available ? "true" : "false")
+       << ",\"specs\":" << jit.specs << ",\"legs\":[";
+    for (size_t i = 0; i < jit.legs.size(); ++i) {
+        const JitLegReport& r = jit.legs[i];
+        os << (i == 0 ? "" : ",") << "{\"threads\":" << r.threads
+           << ",\"builds\":" << r.builds << ",\"hits\":" << r.hits
+           << ",\"peak_builds_in_flight\":" << r.peak_builds_in_flight
+           << ",\"builds_per_sec\":" << json_number(r.builds_per_sec)
+           << ",\"object_bytes\":" << r.object_bytes
+           << ",\"all_loaded\":" << (r.all_loaded ? "true" : "false") << "}";
+    }
+    os << "],\"counts_exact\":" << (jit.counts_exact ? "true" : "false")
+       << ",\"all_loaded\":" << (jit.all_loaded ? "true" : "false")
        << "},\"sweep\":{\"points\":" << sweep.points
        << ",\"cold_ms\":" << json_number(sweep.cold_ms)
        << ",\"warm_ms\":" << json_number(sweep.warm_ms)
@@ -702,8 +831,8 @@ int main(int argc, char** argv) {
         bench::parse_bench_args(argc, argv, spec);
 
     bench::print_header(
-        "perf_hotpaths: delta evaluation, compiled tape, gain calibration, "
-        "SLP selection",
+        "perf_hotpaths: delta evaluation, compiled tape, JIT builds, gain "
+        "calibration, SLP selection",
         "inner-loop cost of the WLO flows (Section IV hot paths)");
 
     const long long tabu_moves = options.smoke ? 4000 : 40000;
@@ -759,6 +888,25 @@ int main(int argc, char** argv) {
         std::printf("  no usable host compiler — degraded to the tape "
                     "(bit-identical: %s), timing skipped\n",
                     compiled.bit_identical ? "yes" : "NO");
+    }
+
+    const JitReport jit = bench_jit(fir.kernel, options.smoke ? 8 : 16);
+    std::printf("\njit builds (%d distinct FIR specs, fresh directory per "
+                "leg)\n",
+                jit.specs);
+    if (jit.available) {
+        for (const JitLegReport& r : jit.legs) {
+            std::printf(
+                "  %d thread%s : %8.2f builds/s   %lld builds %lld hits   "
+                "peak in flight %lld   objects %lld bytes   loaded: %s\n",
+                r.threads, r.threads == 1 ? " " : "s", r.builds_per_sec,
+                r.builds, r.hits, r.peak_builds_in_flight, r.object_bytes,
+                r.all_loaded ? "yes" : "NO");
+        }
+        std::printf("  exact counts: %s\n", jit.counts_exact ? "yes" : "NO");
+    } else {
+        std::printf("  skipped: no usable host compiler, or $SLPWLO_JIT_DIR "
+                    "pins the cache directory\n");
     }
 
     const std::vector<SweepPoint> grid = SweepDriver::grid(
@@ -826,14 +974,15 @@ int main(int argc, char** argv) {
             r.indexed_ms, r.speedup, r.bit_identical ? "yes" : "NO");
     }
 
-    const std::string json = report_json(tabu, noise, compiled, sweep, solver,
-                                         calibration, selection);
+    const std::string json = report_json(tabu, noise, compiled, jit, sweep,
+                                         solver, calibration, selection);
     if (options.json_path.has_value()) {
         bench::emit_json_to(*options.json_path, json, 3);
     }
 
     const bool ok = tabu_identical && noise.bit_identical &&
-                    compiled.bit_identical && sweep.bytes_identical &&
+                    compiled.bit_identical && jit.counts_exact &&
+                    jit.all_loaded && sweep.bytes_identical &&
                     sweep.stage_hits > 0 && solver.ran_everywhere &&
                     solver.all_proven && solver.gaps_nonnegative &&
                     calibration.bit_identical && selection.bit_identical;

@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
         for (int w = 0; w < shards; ++w) {
             workers.push_back(spawn_process(
                 {tool, "work", "--dir", lease_dir, "--worker",
-                 "w" + std::to_string(w), "--threads",
+                 std::string("w").append(std::to_string(w)), "--threads",
                  std::to_string(args.threads)}));
         }
         bool round_ok = true;

@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
     std::vector<SweepPoint> points;
     for (const TargetModel& target : table_targets) {
         for (const double a : constraints) {
-            points.push_back({"FIR", target.name, "WLO-First", a, {}, {}});
-            points.push_back({"FIR", target.name, "WLO-SLP", a, {}, {}});
+            points.push_back({"FIR", target.name, "WLO-First", a, {}, {}, {}});
+            points.push_back({"FIR", target.name, "WLO-SLP", a, {}, {}, {}});
         }
     }
     const std::vector<SweepResult> results = driver().run(points);

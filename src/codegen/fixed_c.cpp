@@ -73,9 +73,14 @@ private:
     }
 
     std::string sat(const std::string& expr, int wl) const {
-        return "(" + c_int_type(wl) + ")slpwlo_sat(" + expr + ", " +
-               std::to_string(wl) +
-               (options_.count_overflows ? ", slpwlo_ovf)" : ")");
+        std::string out = "(";
+        out.append(c_int_type(wl))
+            .append(")slpwlo_sat(")
+            .append(expr)
+            .append(", ")
+            .append(std::to_string(wl))
+            .append(options_.count_overflows ? ", slpwlo_ovf)" : ")");
+        return out;
     }
 
     void prologue(const std::string& function_name) {

@@ -2,8 +2,9 @@
 //
 // Emits the kernel's reference body as C99 doubles — the exact computation
 // run_double performs, in the exact op order the loop-nest walk produces —
-// so the compile-and-execute backend (src/exec) can run reference traces
-// natively. Bit-identity with run_double holds because:
+// so reference traces can run natively (CompiledKernel objects do not carry
+// it: their reference traces come from run_double on the tape).
+// Bit-identity with run_double holds because:
 //   * coefficient and literal constants are printed as hexadecimal floating
 //     literals (%a), which round-trip every double exactly;
 //   * the ops are emitted in walk order with one assignment per op, leaving

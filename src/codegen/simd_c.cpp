@@ -143,8 +143,14 @@ private:
     }
 
     std::string sat(const std::string& expr, int wl) const {
-        return "(" + c_int_type(wl) + ")slpwlo_vsat(" + expr + ", " +
-               std::to_string(wl) + ")";
+        std::string out = "(";
+        out.append(c_int_type(wl))
+            .append(")slpwlo_vsat(")
+            .append(expr)
+            .append(", ")
+            .append(std::to_string(wl))
+            .append(")");
+        return out;
     }
 
     void prologue(const std::string& function_name) {

@@ -634,7 +634,7 @@ LeaseWorkSource::LeaseWorkSource(std::string dir, LeaseWorkerOptions options)
     : impl_(std::make_unique<Impl>()) {
     impl_->root = fs::path(std::move(dir));
     if (options.worker_id.empty()) {
-        options.worker_id = "w" + std::to_string(getpid());
+        options.worker_id = std::string("w").append(std::to_string(getpid()));
     }
     check_worker_id(options.worker_id);
     SLPWLO_CHECK(options.poll_ms > 0, "poll_ms must be positive");

@@ -1,24 +1,23 @@
 // CompiledKernel: a kernel + fixed-point spec compiled to native code.
 //
-// The translation unit batches three pieces (see DESIGN.md §12):
-//   * the instrumented fixed-point body (codegen/fixed_c with overflow
-//     counting and output-trace recording) and a stimuli-batched wrapper
-//       void <kernel>_fixed_batch(const int64_t* in, int64_t* out,
-//                                 long long* ovf, int n);
-//     `in` is n stimuli of raw input integers (input arrays concatenated in
-//     declaration order), `out` receives n output traces of raw integers in
-//     execution order, `ovf[s]` accumulates stimulus s's dynamic saturation
-//     events (the caller seeds it with the host-side input/param
-//     quantization counts);
-//   * the double reference body (codegen/ref_c) and its batched wrapper
-//       void <kernel>_ref_batch(const double* in, double* out, int n);
+// The translation unit holds only what runs (see DESIGN.md §12): the
+// instrumented fixed-point body (codegen/fixed_c with overflow counting and
+// output-trace recording) and a stimuli-batched wrapper
+//   void <kernel>_fixed_batch(const int64_t* in, int64_t* out,
+//                             long long* ovf, int n);
+// `in` is n stimuli of raw input integers (input arrays concatenated in
+// declaration order), `out` receives n output traces of raw integers in
+// execution order, `ovf[s]` accumulates stimulus s's dynamic saturation
+// events (the caller seeds it with the host-side input/param quantization
+// counts). Reference traces come from run_double on the SimTape, not from
+// the object.
 //
 // Objects are compiled through the on-disk JitCache and dlopen'ed; the
 // handle is closed on destruction. Identity contract: for every stimulus,
 // raw outputs scaled by output_step() and the seeded overflow counter are
-// bit-identical to SimTape::run_fixed's outputs/overflow_count, and the
-// reference trace is bit-identical to run_double's (enforced by
-// tests/test_compiled_exec.cpp).
+// bit-identical to SimTape::run_fixed's outputs/overflow_count (enforced by
+// tests/test_compiled_exec.cpp, which also holds the double reference
+// emitter codegen/ref_c bit-identical to run_double on its own objects).
 #pragma once
 
 #include <cstdint>
@@ -58,9 +57,6 @@ public:
     /// host-side half of run_fixed's initial-memory pass.
     long long pack_stimulus(const Stimulus& stimulus, int64_t* slab) const;
 
-    /// Pack `stimulus` as doubles for the reference batch (no quantization).
-    void pack_stimulus_ref(const Stimulus& stimulus, double* slab) const;
-
     /// Param-array quantization saturation events, incurred once per replay.
     long long param_overflow_count() const { return param_overflows_; }
 
@@ -68,9 +64,6 @@ public:
     /// raw integers; `ovf` n counters the callee increments in place.
     void run_fixed_batch(const int64_t* in, int64_t* out, long long* ovf,
                          int n) const;
-
-    /// n stimuli through the double reference body.
-    void run_ref_batch(const double* in, double* out, int n) const;
 
     /// 2^-fwl of the Output array behind trace slot `i`: raw * step = value.
     double output_step(size_t i) const { return output_steps_[i]; }
@@ -90,7 +83,6 @@ private:
 
     void* handle_ = nullptr;
     void (*fixed_batch_)(const int64_t*, int64_t*, long long*, int) = nullptr;
-    void (*ref_batch_)(const double*, double*, int) = nullptr;
     std::vector<InputSlot> inputs_;
     size_t input_elems_ = 0;
     std::vector<double> output_steps_;

@@ -2,13 +2,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <set>
 
 #include "exec/toolchain.hpp"
 #include "support/rng.hpp"
@@ -23,6 +26,35 @@ std::atomic<long long> g_builds{0};
 std::atomic<uint64_t> g_tmp_seq{0};
 std::mutex g_mutex;
 std::string g_default_dir;  // guarded by g_mutex
+
+// Build claims: the object paths some thread of this process is compiling.
+// A thread that needs a claimed path waits on g_build_cv and then takes the
+// hit, so each object is built once per process while different objects
+// compile side by side.
+std::mutex g_build_mutex;
+std::condition_variable g_build_cv;
+std::set<std::string> g_in_flight;  // guarded by g_build_mutex
+// Compiler runs under way, and the most at once since the last reset.
+long long g_compiling = 0;       // guarded by g_build_mutex
+long long g_peak_compiling = 0;  // guarded by g_build_mutex
+
+/// Holds the claim on one object path; releasing it wakes the waiters.
+class BuildClaim {
+public:
+    explicit BuildClaim(std::string path) : path_(std::move(path)) {}
+    ~BuildClaim() {
+        {
+            std::lock_guard<std::mutex> lock(g_build_mutex);
+            g_in_flight.erase(path_);
+        }
+        g_build_cv.notify_all();
+    }
+    BuildClaim(const BuildClaim&) = delete;
+    BuildClaim& operator=(const BuildClaim&) = delete;
+
+private:
+    std::string path_;
+};
 
 uint64_t mix(uint64_t h, uint64_t value) {
     // FNV-1a over the value's bytes, matching the dist-layer fingerprints.
@@ -58,7 +90,7 @@ uint64_t jit_key_hash(const JitKey& key) {
     // orphans every cached object built by older emitters (the key hashes
     // kernel + formats, not the generated source, so a codegen fix would
     // otherwise keep hitting stale .so files).
-    uint64_t h = hash_name("slpwlo-jit-v2");
+    uint64_t h = hash_name("slpwlo-jit-v3");
     h = mix(h, key.kernel_fp);
     h = mix(h, key.target_fp);
     h = mix(h, key.format_fp);
@@ -71,12 +103,16 @@ JitCacheStats jit_cache_stats() {
     JitCacheStats stats;
     stats.hits = g_hits.load();
     stats.builds = g_builds.load();
+    std::lock_guard<std::mutex> lock(g_build_mutex);
+    stats.peak_builds_in_flight = g_peak_compiling;
     return stats;
 }
 
 void reset_jit_cache_stats() {
     g_hits.store(0);
     g_builds.store(0);
+    std::lock_guard<std::mutex> lock(g_build_mutex);
+    g_peak_compiling = g_compiling;
 }
 
 std::string jit_cache_directory() {
@@ -108,13 +144,22 @@ std::string jit_obtain(const JitKey& key, const std::string& c_source,
         return so_path.string();
     }
 
-    // One builder per process; cross-process racers publish independently
-    // (both temps rename onto the same content-addressed name).
-    std::lock_guard<std::mutex> lock(g_mutex);
-    if (fs::exists(so_path, ec)) {
-        g_hits.fetch_add(1);
-        return so_path.string();
+    // One builder per object per process: claim the path, or wait for the
+    // thread that holds it and take its hit. Cross-process racers publish
+    // independently (both temps rename onto the same content-addressed
+    // name).
+    const std::string so_name = so_path.string();
+    {
+        std::unique_lock<std::mutex> lock(g_build_mutex);
+        g_build_cv.wait(lock,
+                        [&] { return g_in_flight.count(so_name) == 0; });
+        if (fs::exists(so_path, ec)) {
+            g_hits.fetch_add(1);
+            return so_name;
+        }
+        g_in_flight.insert(so_name);
     }
+    const BuildClaim claim(so_name);
     fs::create_directories(dir, ec);
     if (ec) {
         if (error != nullptr) {
@@ -141,9 +186,17 @@ std::string jit_obtain(const JitKey& key, const std::string& c_source,
         }
     }
     std::string log;
+    {
+        std::lock_guard<std::mutex> lock(g_build_mutex);
+        g_peak_compiling = std::max(g_peak_compiling, ++g_compiling);
+    }
     const bool ok =
         compile_shared(host_toolchain(), tmp_c.string(), tmp_so.string(),
                        &log);
+    {
+        std::lock_guard<std::mutex> lock(g_build_mutex);
+        --g_compiling;
+    }
     if (!ok) {
         if (error != nullptr) *error = log.empty() ? "compile failed" : log;
         fs::remove(tmp_c, ec);

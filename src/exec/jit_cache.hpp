@@ -9,6 +9,11 @@
 // share the directory: a second worker that needs the same object gets a
 // hit instead of a rebuild.
 //
+// Within a process, builds of different objects run concurrently (each is
+// its own compiler process); a thread that needs an object another thread
+// is building waits for it and takes the hit, so every object is compiled
+// once per process.
+//
 // Publishing follows the repo-wide tmp+rename discipline, with the builder
 // pid and a process-local sequence number in the temp name so concurrent
 // builders never collide — and so temp files orphaned by a SIGKILLed
@@ -43,6 +48,9 @@ uint64_t jit_key_hash(const JitKey& key);
 struct JitCacheStats {
     long long hits = 0;    ///< object already on disk
     long long builds = 0;  ///< object compiled by this process
+    /// Most compiler runs this process had under way at once since the
+    /// last reset (observational: it shows whether builds overlapped).
+    long long peak_builds_in_flight = 0;
 };
 
 JitCacheStats jit_cache_stats();

@@ -262,9 +262,9 @@ Message FarmServer::handle(const Message& request, long long now) {
             } else if (board_.job_count() == 0) {
                 // Nothing submitted yet: a worker that connected early
                 // should poll, not exit.
-                response.fields["wait"] = "1";
+                response.fields["wait"] = std::string("1");
             } else {
-                response.fields["drained"] = "1";
+                response.fields["drained"] = std::string("1");
             }
             return response;
         }
@@ -303,7 +303,7 @@ Message FarmServer::handle(const Message& request, long long now) {
                 static_cast<uint64_t>(request.require_ll("lease")),
                 request.body, now);
             Message response = ok();
-            response.fields["finalized"] = finalized ? "1" : "0";
+            response.fields["finalized"] = std::string(finalized ? "1" : "0");
             return response;
         }
         if (request.verb == "abandon") {

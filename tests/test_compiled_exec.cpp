@@ -2,11 +2,13 @@
 //
 // The compiled artifact must be a bit-exact stand-in for the interpreted
 // simulators: raw fixed-point outputs and overflow counts identical to
-// SimTape::run_fixed (and the tree walker), reference traces identical to
-// run_double, and CompiledEvaluator's noise power identical to
-// SimulationEvaluator's — across the registry kernels, word-length presets
-// and quantization modes. Tests that need the host toolchain skip when no
+// SimTape::run_fixed (and the tree walker), the double reference emitter's
+// traces identical to run_double, and CompiledEvaluator's noise power
+// identical to SimulationEvaluator's — across the registry kernels,
+// word-length presets and quantization modes. Concurrent JitCache builds
+// compile each object once and overlap distinct ones. Tests that need the host toolchain skip when no
 // compiler is usable (matching tests/test_codegen.cpp).
+#include <dlfcn.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,10 +17,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <thread>
 
 #include "accuracy/sim_backend.hpp"
 #include "accuracy/sim_evaluator.hpp"
 #include "codegen/fixed_c.hpp"
+#include "codegen/ref_c.hpp"
 #include "exec/compiled_evaluator.hpp"
 #include "exec/compiled_kernel.hpp"
 #include "exec/jit_cache.hpp"
@@ -26,9 +31,11 @@
 #include "exec/toolchain.hpp"
 #include "flow/flow.hpp"
 #include "flow/report.hpp"
+#include "ir/printer.hpp"
 #include "kernels/kernels.hpp"
 #include "sim/fixed_sim.hpp"
 #include "sim/sim_tape.hpp"
+#include "support/rng.hpp"
 #include "target/target_model.hpp"
 #include "test_util.hpp"
 
@@ -143,6 +150,37 @@ TEST(CompiledExec, FixedMatchesTapeAndWalkerBitwiseAcrossRegistry) {
     }
 }
 
+/// emit_ref_c's body plus a batch loop over n stimuli of double inputs
+/// (input arrays concatenated in declaration order), exported as
+/// `slpwlo_test_ref_batch`. Returns the C source; `input_elems` receives
+/// the doubles per stimulus.
+std::string ref_batch_source(const Kernel& kernel, size_t output_count,
+                             size_t* input_elems) {
+    const RefCResult ref = emit_ref_c(kernel);
+    std::string locals;
+    std::string args;
+    size_t offset = 0;
+    for (size_t a = 0; a < kernel.arrays().size(); ++a) {
+        const ArrayDecl& decl = kernel.arrays()[a];
+        if (decl.storage == StorageClass::Input) {
+            args += "src + " + std::to_string(offset) + ", ";
+            offset += static_cast<size_t>(decl.size);
+        } else if (decl.storage == StorageClass::Output) {
+            const std::string local = "o" + std::to_string(a);
+            locals += "    double " + local + "[" +
+                      std::to_string(decl.size) + "] = {0};\n";
+            args += local + ", ";
+        }
+    }
+    *input_elems = offset;
+    return ref.code + "\nvoid slpwlo_test_ref_batch(const double* in, " +
+           "double* out, int n) {\n  for (int s = 0; s < n; ++s) {\n" +
+           "    const double* src = in + (long)s * " +
+           std::to_string(offset) + ";\n" + locals + "    " +
+           ref.function_name + "(" + args + "out + (long)s * " +
+           std::to_string(output_count) + ");\n  }\n}\n";
+}
+
 TEST(CompiledExec, RefBatchMatchesRunDoubleBitwiseAcrossRegistry) {
     if (!toolchain_usable()) GTEST_SKIP() << "no host C compiler";
     TempJitDir jit_dir;
@@ -150,22 +188,42 @@ TEST(CompiledExec, RefBatchMatchesRunDoubleBitwiseAcrossRegistry) {
         const kernels::BenchmarkKernel bk =
             kernels::make_benchmark_kernel(name);
         const SimTape tape(bk.kernel);
-        const FixedPointSpec spec =
-            preset_spec(bk.kernel, 12, QuantMode::Truncate);
+        const size_t oc = tape.output_count();
+        size_t elems = 0;
+        const std::string source = ref_batch_source(bk.kernel, oc, &elems);
+
+        // The reference object gets its own key: no format set.
+        exec::JitKey key;
+        key.kernel_fp = hash_name(print_kernel(bk.kernel));
+        key.format_fp = 0;
+        key.compiler_id = exec::host_toolchain().id;
         std::string error;
-        const auto ck = exec::CompiledKernel::create(bk.kernel, spec, &error);
-        ASSERT_NE(ck, nullptr) << name << ": " << error;
+        const std::string so_path = exec::jit_obtain(key, source, &error);
+        ASSERT_FALSE(so_path.empty()) << name << ": " << error;
+        void* handle = dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
+        ASSERT_NE(handle, nullptr) << name << ": " << dlerror();
+        using RefBatch = void (*)(const double*, double*, int);
+        const auto ref_batch = reinterpret_cast<RefBatch>(
+            dlsym(handle, "slpwlo_test_ref_batch"));
+        ASSERT_NE(ref_batch, nullptr) << name;
 
         // Two stimuli through one batched call.
         const Stimulus s0 = make_stimulus(bk.kernel, 0x5E1F);
         const Stimulus s1 = make_stimulus(bk.kernel, 0x5E1F + 1);
-        const size_t elems = ck->input_elems();
-        const size_t oc = ck->output_count();
-        std::vector<double> in(2 * elems);
+        std::vector<double> in;
+        for (const Stimulus* stimulus : {&s0, &s1}) {
+            for (size_t a = 0; a < bk.kernel.arrays().size(); ++a) {
+                if (bk.kernel.arrays()[a].storage != StorageClass::Input) {
+                    continue;
+                }
+                const std::vector<double>& values = (*stimulus)[a];
+                in.insert(in.end(), values.begin(), values.end());
+            }
+        }
+        ASSERT_EQ(in.size(), 2 * elems) << name;
         std::vector<double> out(2 * oc);
-        ck->pack_stimulus_ref(s0, in.data());
-        ck->pack_stimulus_ref(s1, in.data() + elems);
-        ck->run_ref_batch(in.data(), out.data(), 2);
+        ref_batch(in.data(), out.data(), 2);
+        dlclose(handle);
 
         const std::vector<double> ref0 = run_double(tape, s0).outputs;
         const std::vector<double> ref1 = run_double(tape, s1).outputs;
@@ -239,6 +297,134 @@ TEST(CompiledExec, JitCacheHitsAndRebuildsOnFingerprintChange) {
     ASSERT_NE(exec::CompiledKernel::create(kernel, rounded, &error), nullptr);
     stats = exec::jit_cache_stats();
     EXPECT_EQ(stats.builds, 3);
+}
+
+/// Runs body(t) for t in [0, threads) on threads released together.
+template <class Body>
+void run_together(int threads, Body body) {
+    std::latch start(threads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            start.arrive_and_wait();
+            body(static_cast<size_t>(t));
+        });
+    }
+    for (std::thread& thread : pool) thread.join();
+}
+
+// Threads that need the same object wait for its one build and take the
+// hit; every thread gets the same, loadable object.
+TEST(CompiledExec, ConcurrentSameKeyBuildsOnce) {
+    if (!toolchain_usable()) GTEST_SKIP() << "no host C compiler";
+    TempJitDir jit_dir;
+    const Kernel& kernel = ::slpwlo::testing::small_fir();
+    const FixedPointSpec spec = preset_spec(kernel, 12, QuantMode::Truncate);
+    constexpr int kThreads = 6;
+
+    exec::reset_jit_cache_stats();
+    std::vector<std::unique_ptr<exec::CompiledKernel>> objects(kThreads);
+    std::vector<std::string> errors(kThreads);
+    run_together(kThreads, [&](size_t i) {
+        objects[i] = exec::CompiledKernel::create(kernel, spec, &errors[i]);
+    });
+
+    const exec::JitCacheStats stats = exec::jit_cache_stats();
+    EXPECT_EQ(stats.builds, 1);
+    EXPECT_EQ(stats.hits, kThreads - 1);
+    for (int t = 0; t < kThreads; ++t) {
+        const size_t i = static_cast<size_t>(t);
+        ASSERT_NE(objects[i], nullptr) << "thread " << t << ": " << errors[i];
+        EXPECT_EQ(objects[i]->so_path(), objects[0]->so_path());
+    }
+}
+
+// Threads that need different objects each build their own, and every
+// object runs bit-identically to the tape.
+TEST(CompiledExec, ConcurrentDistinctSpecsBuildEachAndMatchTape) {
+    if (!toolchain_usable()) GTEST_SKIP() << "no host C compiler";
+    TempJitDir jit_dir;
+    const Kernel& kernel = ::slpwlo::testing::small_fir();
+    const SimTape tape(kernel);
+    const Stimulus stimulus = make_stimulus(kernel, 31);
+    constexpr int kThreads = 4;
+    std::vector<FixedPointSpec> specs;
+    for (int t = 0; t < kThreads; ++t) {
+        specs.push_back(preset_spec(kernel, 9 + 2 * t,
+                                    t % 2 == 0 ? QuantMode::Truncate
+                                               : QuantMode::Round));
+    }
+
+    exec::reset_jit_cache_stats();
+    std::vector<std::unique_ptr<exec::CompiledKernel>> objects(kThreads);
+    std::vector<std::string> errors(kThreads);
+    run_together(kThreads, [&](size_t i) {
+        objects[i] =
+            exec::CompiledKernel::create(kernel, specs[i], &errors[i]);
+    });
+
+    const exec::JitCacheStats stats = exec::jit_cache_stats();
+    EXPECT_EQ(stats.builds, kThreads);
+    EXPECT_EQ(stats.hits, 0);
+    for (int t = 0; t < kThreads; ++t) {
+        const size_t i = static_cast<size_t>(t);
+        ASSERT_NE(objects[i], nullptr) << "thread " << t << ": " << errors[i];
+        const exec::CompiledKernel& ck = *objects[i];
+        std::vector<int64_t> in(ck.input_elems());
+        std::vector<int64_t> out(ck.output_count());
+        long long ovf =
+            ck.param_overflow_count() + ck.pack_stimulus(stimulus, in.data());
+        ck.run_fixed_batch(in.data(), out.data(), &ovf, 1);
+        const FixedSimResult sim = run_fixed(tape, specs[i], stimulus);
+        ASSERT_EQ(sim.outputs.size(), out.size()) << "thread " << t;
+        for (size_t o = 0; o < out.size(); ++o) {
+            ASSERT_EQ(out[o], raw_of(sim.outputs[o], ck.output_step(o)))
+                << "thread " << t << " output " << o;
+        }
+        EXPECT_EQ(ovf, sim.overflow_count) << "thread " << t;
+    }
+}
+
+// Different objects really compile side by side: each build is its own
+// compiler process, so this holds on one core too.
+TEST(CompiledExec, ConcurrentDistinctBuildsOverlap) {
+    if (!toolchain_usable()) GTEST_SKIP() << "no host C compiler";
+    TempJitDir jit_dir;
+    constexpr int kThreads = 4;
+
+    std::vector<exec::JitKey> keys(kThreads);
+    std::vector<std::string> sources(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        const size_t i = static_cast<size_t>(t);
+        keys[i].kernel_fp = hash_name("overlap-" + std::to_string(t));
+        keys[i].compiler_id = exec::host_toolchain().id;
+        sources[i] = "int slpwlo_test_value(void) { return " +
+                     std::to_string(t) + "; }\n";
+    }
+
+    exec::reset_jit_cache_stats();
+    std::vector<std::string> paths(kThreads);
+    std::vector<std::string> errors(kThreads);
+    run_together(kThreads, [&](size_t i) {
+        paths[i] = exec::jit_obtain(keys[i], sources[i], &errors[i]);
+    });
+
+    const exec::JitCacheStats stats = exec::jit_cache_stats();
+    EXPECT_EQ(stats.builds, kThreads);
+    EXPECT_GE(stats.peak_builds_in_flight, 2);
+    EXPECT_LE(stats.peak_builds_in_flight, kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        const size_t i = static_cast<size_t>(t);
+        ASSERT_FALSE(paths[i].empty()) << "thread " << t << ": " << errors[i];
+        void* handle = dlopen(paths[i].c_str(), RTLD_NOW | RTLD_LOCAL);
+        ASSERT_NE(handle, nullptr) << "thread " << t << ": " << dlerror();
+        using ValueFn = int (*)();
+        const auto value = reinterpret_cast<ValueFn>(
+            dlsym(handle, "slpwlo_test_value"));
+        ASSERT_NE(value, nullptr) << "thread " << t;
+        EXPECT_EQ(value(), t);
+        dlclose(handle);
+    }
 }
 
 TEST(CompiledExec, StaleTempFilesAreSweptByAgeOnly) {
@@ -347,7 +533,9 @@ TEST(CompiledExec, FlowMeasureRunsConfiguredEvaluator) {
     const std::string measured = to_json(a, /*include_measured=*/true);
     EXPECT_NE(measured.find("\"sim_noise_db\":"), std::string::npos);
     EXPECT_NE(measured.find("\"measured_ns\":"), std::string::npos);
-    if (toolchain_usable()) EXPECT_GT(b.measured_ns, 0);
+    if (toolchain_usable()) {
+        EXPECT_GT(b.measured_ns, 0);
+    }
 
     FlowOptions unmeasured = tape;
     unmeasured.measure = false;

@@ -47,7 +47,12 @@ FlowResult legacy_wlo_slp(const KernelContext& context,
                       .kernel_name = context.kernel().name(),
                       .target_name = target.name,
                       .accuracy_db = options.accuracy_db,
-                      .spec = context.initial_spec(options.quant_mode)};
+                      .spec = context.initial_spec(options.quant_mode),
+                      .groups = {},
+                      .slp_stats = {},
+                      .scaling_stats = {},
+                      .tabu_stats = {},
+                      .solver_stats = {}};
     WloSlpOptions wlo = options.wlo_slp;
     wlo.accuracy_db = options.accuracy_db;
     const WloSlpResult out = run_slp_aware_wlo(
@@ -77,7 +82,12 @@ FlowResult legacy_wlo_first(const KernelContext& context,
                       .kernel_name = context.kernel().name(),
                       .target_name = target.name,
                       .accuracy_db = options.accuracy_db,
-                      .spec = context.initial_spec(options.quant_mode)};
+                      .spec = context.initial_spec(options.quant_mode),
+                      .groups = {},
+                      .slp_stats = {},
+                      .scaling_stats = {},
+                      .tabu_stats = {},
+                      .solver_stats = {}};
     result.tabu_stats =
         run_tabu_wlo(result.spec, context.evaluator(), target,
                      options.accuracy_db, options.wlo_first.tabu);
@@ -288,11 +298,12 @@ TEST(FlowEngine, SweepDeterministicAcrossThreadCounts) {
 
 TEST(FlowEngine, SweepReportsConfigErrorsBeforeRunning) {
     SweepDriver driver;
-    EXPECT_THROW(driver.run({{"FFT", "XENTIUM", "WLO-SLP", -20.0, {}, {}}}),
+    EXPECT_THROW(
+        driver.run({{"FFT", "XENTIUM", "WLO-SLP", -20.0, {}, {}, {}}}), Error);
+    EXPECT_THROW(driver.run({{"FIR", "TPU", "WLO-SLP", -20.0, {}, {}, {}}}),
                  Error);
-    EXPECT_THROW(driver.run({{"FIR", "TPU", "WLO-SLP", -20.0, {}, {}}}), Error);
-    EXPECT_THROW(driver.run({{"FIR", "XENTIUM", "NO-SUCH", -20.0, {}, {}}}),
-                 Error);
+    EXPECT_THROW(
+        driver.run({{"FIR", "XENTIUM", "NO-SUCH", -20.0, {}, {}, {}}}), Error);
 }
 
 TEST(FlowEngine, SweepRunsDotThroughRegistry) {

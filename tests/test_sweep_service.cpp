@@ -167,7 +167,7 @@ TEST(SweepService, RunShardStillMatchesReferenceSlice) {
 // --- estimate_point_cost width awareness ---------------------------------------
 
 TEST(PointCost, SeesTargetModelOverrides) {
-    SweepPoint base{"FIR", "XENTIUM", "WLO-SLP", -30.0, {}, {}};
+    SweepPoint base{"FIR", "XENTIUM", "WLO-SLP", -30.0, {}, {}, {}};
     SweepPoint embedded = base;
     embedded.target_model = targets::xentium();
     SweepPoint wide = base;

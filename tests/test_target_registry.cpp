@@ -366,8 +366,8 @@ TEST(TargetSweep, SameNameDifferentModelsNeverShareCacheEntries) {
     options.threads = 1;
     SweepDriver driver(options);
     const std::vector<SweepResult> results =
-        driver.run({SweepPoint{"FIR", "CLASH", "WLO-SLP", -30.0, {}, scalar},
-                    SweepPoint{"FIR", "CLASH", "WLO-SLP", -30.0, {}, simd}});
+        driver.run({SweepPoint{"FIR", "CLASH", "WLO-SLP", -30.0, {}, scalar, {}},
+                    SweepPoint{"FIR", "CLASH", "WLO-SLP", -30.0, {}, simd, {}}});
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].flow.target_name, "CLASH");
     EXPECT_EQ(results[1].flow.target_name, "CLASH");
@@ -389,10 +389,10 @@ TEST(TargetSweep, RenamedIdenticalModelHitsTheCache) {
     options.threads = 1;
     SweepDriver driver(options);
     const std::vector<SweepResult> first = driver.run(
-        {SweepPoint{"FIR", original.name, "WLO-SLP", -30.0, {}, original}});
+        {SweepPoint{"FIR", original.name, "WLO-SLP", -30.0, {}, original, {}}});
     const size_t hits_before = driver.cache_stats().eval_hits;
     const std::vector<SweepResult> second = driver.run(
-        {SweepPoint{"FIR", renamed.name, "WLO-SLP", -30.0, {}, renamed}});
+        {SweepPoint{"FIR", renamed.name, "WLO-SLP", -30.0, {}, renamed, {}}});
     EXPECT_GT(driver.cache_stats().eval_hits, hits_before);
     EXPECT_EQ(first[0].flow.target_fp, second[0].flow.target_fp);
     EXPECT_EQ(first[0].flow.scalar_cycles, second[0].flow.scalar_cycles);
@@ -467,7 +467,7 @@ TEST(TargetSweep, OverrideModelsAreValidatedBeforeRunning) {
     broken.scalar_wls = {8, 16, 32};
     SweepDriver driver;
     EXPECT_THROW(
-        driver.run({SweepPoint{"FIR", "X", "WLO-SLP", -20.0, {}, broken}}),
+        driver.run({SweepPoint{"FIR", "X", "WLO-SLP", -20.0, {}, broken, {}}}),
         Error);
 }
 
