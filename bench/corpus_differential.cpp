@@ -22,7 +22,8 @@
 //                           [--hostile N] [--smoke]
 //                           [--threads N] [--json[=FILE]]
 //
-// --corpus defaults to ./kernels (the checked-in corpus); --generated
+// --corpus defaults to the checked-in kernels/ corpus (its path is
+// compiled in, so the harness runs from any directory); --generated
 // seeds that many random kernels (default 8); --hostile adds that many
 // SLP-*hostile* generated kernels (default 4) — non-adjacent strides and
 // mixed-array lanes where a correct extractor finds nothing profitable
@@ -98,9 +99,7 @@ KernelGates check_evaluators(const std::string& name) {
     return gates;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     print_header("Corpus differential — .slp corpus + generated kernels",
                  "kernels-as-data robustness harness (no paper figure)");
 
@@ -118,9 +117,9 @@ int main(int argc, char** argv) {
     const BenchOptions args = parse_bench_args(argc, argv, spec);
 
     // The kernel set: every corpus directory (default: the checked-in
-    // ./kernels), any --kernel-file extras, then the generated tail.
+    // kernels/), any --kernel-file extras, then the generated tail.
     std::vector<std::string> corpus_dirs = args.corpus_dirs;
-    if (corpus_dirs.empty()) corpus_dirs.push_back("kernels");
+    if (corpus_dirs.empty()) corpus_dirs.push_back(SLPWLO_KERNEL_CORPUS_DIR);
     std::vector<std::string> names;
     for (const std::string& dir : corpus_dirs) {
         for (std::string& name : frontend::load_kernel_corpus(dir)) {
@@ -255,4 +254,17 @@ int main(int argc, char** argv) {
     }
     std::printf("\ncorpus differential: %s\n", ok ? "OK" : "FAILED");
     return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    // A kernel file that does not parse, or a corpus path that is not a
+    // directory, is a usage error: report it instead of aborting.
+    try {
+        return run(argc, argv);
+    } catch (const Error& e) {
+        std::fprintf(stderr, "corpus_differential: %s\n", e.what());
+        return 2;
+    }
 }

@@ -1,4 +1,4 @@
-// ShardEngine acceptance harness: the same grid, five ways.
+// ShardEngine acceptance harness: the same grid, three ways.
 //
 //   1. single process, one SweepDriver        — the reference report;
 //   2. N worker *processes* (fork/exec of the slpwlo-shard CLI), one
@@ -6,36 +6,25 @@
 //      for both assignment strategies;
 //   3. shard 0 re-run warm from the merged    — must be byte-identical
 //      cache snapshot of run 2                  and show nonzero cache
-//                                               hits in its report;
-//   4. elastic: a lease directory drained by N workers plus one
-//      artificially-slowed straggler whose lease expires, is stolen and
-//      re-run — the duplicate rows both publish must resolve at merge
-//      and the report must stay byte-identical;
-//   5. elastic again with the straggler SIGKILLed while holding a lease
-//      — its chunk must be re-issued (assert >= 1 re-issue) and the
-//      merged report must still match byte for byte.
+//                                               hits in its report.
 //
-// This is the end-to-end proof behind DESIGN.md §7 and §9: sharding a
-// sweep across processes (and by extension machines) — statically or
-// through elastic leases with expiry — changes wall-clock, never bytes.
+// This is the end-to-end proof behind DESIGN.md §7: sharding a sweep
+// across processes (and by extension machines) changes wall-clock, never
+// bytes. The elastic path (farm daemon, SIGKILLed stragglers) has its own
+// end-to-end test in tests/test_farm.cpp.
 //
 //   $ ./sweep_sharded [--threads N] [--smoke] [--shards N]
 //                     [--shard-tool PATH] [--json[=FILE]]
-#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "dist/cache_snapshot.hpp"
-#include "dist/lease_coordinator.hpp"
 #include "dist/shard_manifest.hpp"
 #include "dist/shard_merger.hpp"
 #include "dist/shard_plan.hpp"
@@ -54,8 +43,9 @@ std::string tool_path_from(const char* argv0) {
     return self.substr(0, slash + 1) + "slpwlo-shard";
 }
 
-/// fork/exec one worker without waiting; returns the pid (or -1).
-pid_t spawn_process(const std::vector<std::string>& command) {
+/// fork/exec one worker and wait for it; returns its exit status
+/// (shell-style).
+int run_process(const std::vector<std::string>& command) {
     std::vector<char*> argv;
     argv.reserve(command.size() + 1);
     for (const std::string& arg : command) {
@@ -73,37 +63,11 @@ pid_t spawn_process(const std::vector<std::string>& command) {
         std::perror(argv[0]);
         _exit(127);
     }
-    return pid;
-}
-
-/// Wait for `pid`; returns its exit status (shell-style).
-int wait_process(pid_t pid) {
     int status = 0;
     if (waitpid(pid, &status, 0) != pid) return -1;
     if (WIFEXITED(status)) return WEXITSTATUS(status);
     if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
     return -1;
-}
-
-/// fork/exec one worker; returns its exit status (shell-style).
-int run_process(const std::vector<std::string>& command) {
-    const pid_t pid = spawn_process(command);
-    if (pid < 0) return -1;
-    return wait_process(pid);
-}
-
-/// Poll `predicate` every 25 ms until it holds or `timeout_ms` passes.
-bool wait_for(const std::function<bool()>& predicate, long long timeout_ms) {
-    const auto start = std::chrono::steady_clock::now();
-    for (;;) {
-        if (predicate()) return true;
-        const auto elapsed =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (elapsed > timeout_ms) return false;
-        std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    }
 }
 
 void write_file(const std::string& path, const std::string& text) {
@@ -295,80 +259,6 @@ int main(int argc, char** argv) {
                         same ? "yes" : "NO");
             ok = ok && hits && stage_hits && same;
         }
-    }
-
-    // --- elastic rounds: lease directory, stragglers, re-issue ----------------
-    // Round one: a slowed straggler holds its first lease well past the
-    // ttl — a fast worker must steal and re-run it, then both publish
-    // (duplicate rows resolved at merge). Round two: the straggler is
-    // SIGKILLed while holding a lease — its chunk must be re-issued. In
-    // both rounds the merged report must equal the 1-process bytes and at
-    // least one lease must have been re-issued.
-    const long long ttl_ms = 1000;
-    for (const bool kill_straggler : {false, true}) {
-        if (!ok) break;
-        const std::string tag =
-            kill_straggler ? "elastic-kill" : "elastic-slow";
-        const std::string lease_dir = dir + "/" + tag;
-
-        const std::vector<ShardPlan> whole =
-            make_shard_plans(grid, 1, ShardStrategy::RoundRobin);
-        const ShardManifest manifest =
-            parse_shard_manifest(shard_manifest_text(whole[0]), tag);
-        LeaseOptions lease_options;
-        lease_options.ttl_ms = ttl_ms;
-        const size_t chunks =
-            init_lease_dir(lease_dir, manifest, lease_options);
-
-        const pid_t straggler = spawn_process(
-            {tool, "work", "--dir", lease_dir, "--worker", "straggler",
-             "--threads", "1", "--straggle-ms",
-             kill_straggler ? "600000" : std::to_string(ttl_ms * 5 / 2)});
-        if (straggler < 0) {
-            ok = false;
-            break;
-        }
-        // Let the straggler claim its first lease before the fast workers
-        // start, so there is always a lease to expire and steal.
-        if (!wait_for(
-                [&] { return lease_dir_status(lease_dir).claimed >= 1; },
-                30000)) {
-            std::printf("[%s] straggler never claimed a lease\n",
-                        tag.c_str());
-            kill(straggler, SIGKILL);
-            wait_process(straggler);
-            ok = false;
-            break;
-        }
-        if (kill_straggler) {
-            kill(straggler, SIGKILL);
-            wait_process(straggler);
-        }
-
-        std::vector<pid_t> workers;
-        for (int w = 0; w < shards; ++w) {
-            workers.push_back(spawn_process(
-                {tool, "work", "--dir", lease_dir, "--worker",
-                 std::string("w").append(std::to_string(w)), "--threads",
-                 std::to_string(args.threads)}));
-        }
-        bool round_ok = true;
-        for (const pid_t pid : workers) {
-            if (pid < 0 || wait_process(pid) != 0) round_ok = false;
-        }
-        if (!kill_straggler && wait_process(straggler) != 0) round_ok = false;
-
-        const LeaseDirStatus status = lease_dir_status(lease_dir);
-        const std::string merged =
-            round_ok ? collect_lease_results(lease_dir) : std::string();
-        const bool identical = merged == reference_json;
-        const bool reissued = status.reissued >= 1;
-        std::printf("[%s] %zu chunks, %zu re-issued (%s); merged %d-worker "
-                    "elastic report byte-identical to 1-process: %s\n",
-                    tag.c_str(), chunks, status.reissued,
-                    reissued ? "ok" : "NONE", shards,
-                    identical ? "yes" : "NO");
-        ok = ok && round_ok && identical && reissued;
     }
 
     if (ok) std::filesystem::remove_all(dir);

@@ -115,8 +115,6 @@ void write_stage_entry(std::ostream& os, const EvalCache::StageEntry& e) {
        << fingerprint_hex(double_to_bits(t.best_cost)) << " "
        << (t.feasible ? 1 : 0);
     os << " " << e.group_count;
-    // Solver statistics (snapshot_version >= 3), appended after the v2
-    // token stream so a v2 line is exactly a v3 line minus this suffix.
     const SolverStats& v = e.solver_stats;
     os << " " << (v.ran ? 1 : 0) << " " << v.nodes << " " << v.solves << " "
        << (v.proven_optimal ? 1 : 0) << " "
@@ -178,8 +176,7 @@ private:
 };
 
 std::pair<uint64_t, EvalCache::StageEntry> parse_stage_entry(
-    const std::string& value, int version, const std::string& source,
-    int line) {
+    const std::string& value, const std::string& source, int line) {
     StageFieldReader in(value, source, line);
     const uint64_t key = in.next_bits("stage key");
     EvalCache::StageEntry e;
@@ -226,20 +223,15 @@ std::pair<uint64_t, EvalCache::StageEntry> parse_stage_entry(
     t.best_cost = bits_to_double(in.next_bits("tabu best cost bits"));
     t.feasible = in.next_int("tabu feasible") != 0;
     e.group_count = in.next_int("group count total");
-    // Version-gated suffix: v2 lines end here, v3 carries the solver
-    // statistics. A v2 snapshot deserializes with zero (ran == false)
-    // solver stats — correct, since v2 caches predate the exact flows.
-    if (version >= 3) {
-        SolverStats& v = e.solver_stats;
-        v.ran = in.next_int("solver ran") != 0;
-        v.nodes = in.next_ll("solver nodes");
-        v.solves = in.next_ll("solver solves");
-        v.proven_optimal = in.next_int("solver proven") != 0;
-        v.heuristic_objective =
-            bits_to_double(in.next_bits("solver heuristic bits"));
-        v.best_objective = bits_to_double(in.next_bits("solver best bits"));
-        v.gap = bits_to_double(in.next_bits("solver gap bits"));
-    }
+    SolverStats& v = e.solver_stats;
+    v.ran = in.next_int("solver ran") != 0;
+    v.nodes = in.next_ll("solver nodes");
+    v.solves = in.next_ll("solver solves");
+    v.proven_optimal = in.next_int("solver proven") != 0;
+    v.heuristic_objective =
+        bits_to_double(in.next_bits("solver heuristic bits"));
+    v.best_objective = bits_to_double(in.next_bits("solver best bits"));
+    v.gap = bits_to_double(in.next_bits("solver gap bits"));
     in.finish();
     return {key, std::move(e)};
 }
@@ -284,11 +276,9 @@ CacheSnapshot parse_cache_snapshot(const std::string& text,
             reader.fail_here("duplicate key `" + line.key + "`");
         }
         if (line.key == "snapshot_version") {
-            snapshot.version =
-                kv::to_int(source, line.line, line.key, line.value);
-            if (snapshot.version < 1 || snapshot.version > 3) {
+            if (kv::to_int(source, line.line, line.key, line.value) != 3) {
                 reader.fail_here("unsupported snapshot_version " + line.value +
-                                 " (this reader knows 1 to 3)");
+                                 " (this reader accepts only 3)");
             }
             saw_version = true;
         } else if (line.key == "entries") {
@@ -302,8 +292,8 @@ CacheSnapshot parse_cache_snapshot(const std::string& text,
                     "stage_entry before snapshot_version (the entry "
                     "format is versioned)");
             }
-            auto [key, entry] = parse_stage_entry(line.value, snapshot.version,
-                                                  source, line.line);
+            auto [key, entry] =
+                parse_stage_entry(line.value, source, line.line);
             if (!snapshot.stage_entries.empty() &&
                 key <= snapshot.stage_entries.back().first) {
                 reader.fail_here(
@@ -352,10 +342,6 @@ CacheSnapshot parse_cache_snapshot(const std::string& text,
         throw Error(source + ": header declares " + std::to_string(declared) +
                     " entries, file has " +
                     std::to_string(snapshot.entries.size()));
-    }
-    if (snapshot.version == 1 && !snapshot.stage_entries.empty()) {
-        throw Error(source + ": version-1 snapshots cannot carry stage "
-                             "entries");
     }
     if (declared_stages >= 0 &&
         static_cast<size_t>(declared_stages) !=
@@ -444,7 +430,7 @@ uint64_t snapshot_fingerprint(const CacheSnapshot& snapshot) {
             h *= kFnvPrime;
         }
     };
-    mix(static_cast<uint64_t>(snapshot.version));
+    mix(3);  // snapshot_version: fingerprints have always mixed it in
     mix(snapshot.entries.size());
     for (const auto& [key, entry] : snapshot.entries) {
         mix(key);

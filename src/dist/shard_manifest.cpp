@@ -82,15 +82,14 @@ std::string flow_options_kv(const FlowOptions& options,
          std::to_string(options.wlo_first.tabu.stagnation_limit));
     emit("wlo_first.tabu.infeasibility_penalty",
          kv::exact_double(options.wlo_first.tabu.infeasibility_penalty));
-    // Execution-strategy fields (manifest_version >= 2): they never change
-    // a result byte, but workers must inherit the launcher's choice of
-    // noise backend and timing so an --evaluator=compiled sweep runs
-    // compiled on every shard.
+    // Execution-strategy fields: they never change a result byte, but
+    // workers must inherit the launcher's choice of noise backend and
+    // timing so an --evaluator=compiled sweep runs compiled on every shard.
     emit("evaluator", to_string(options.evaluator));
     emit_bool("measure", options.measure);
-    // Solver fields (manifest_version >= 3). Unlike evaluator/measure the
-    // optimizer axis changes outcomes, so a worker that dropped it would
-    // produce different result bytes than the launcher's local run.
+    // Solver fields. Unlike evaluator/measure the optimizer axis changes
+    // outcomes, so a worker that dropped it would produce different result
+    // bytes than the launcher's local run.
     emit("solver.optimizer", to_string(options.solver.optimizer));
     emit("solver.max_nodes", std::to_string(options.solver.budget.max_nodes));
     emit("solver.max_millis",
@@ -432,11 +431,11 @@ ShardManifest parse_shard_manifest(const std::string& text,
             reader.fail_here("duplicate key `" + kvline.key + "`");
         }
         if (kvline.key == "manifest_version") {
-            manifest.version =
-                kv::to_int(source, kvline.line, kvline.key, kvline.value);
-            if (manifest.version < 1 || manifest.version > 4) {
+            if (kv::to_int(source, kvline.line, kvline.key, kvline.value) !=
+                4) {
                 reader.fail_here("unsupported manifest_version " +
-                                 kvline.value + " (this reader knows 1-4)");
+                                 kvline.value +
+                                 " (this reader accepts only 4)");
             }
             saw_version = true;
         } else if (kvline.key == "shard_index") {

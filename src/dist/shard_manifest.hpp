@@ -11,7 +11,7 @@
 // Format (line-oriented `key = value`, versioned; see DESIGN.md §7):
 //
 //   # slpwlo shard manifest
-//   manifest_version = 1
+//   manifest_version = 4
 //   shard_index = 0
 //   shard_count = 4
 //   strategy = round-robin
@@ -47,24 +47,16 @@
 //   option.quant_mode = round       # optional per-point override block
 //   end_point
 //
-// Versioning policy: `manifest_version` is bumped on any change a v1
-// reader cannot ignore; readers reject versions they do not know
-// (unknown keys within a known version are errors, not extensions).
-// Version history:
-//   1  the original format above;
-//   2  adds the execution-strategy options `option.evaluator`
-//      (tape/walker/compiled noise backend) and `option.measure`
-//      (compiled-body timing) to defaults and per-point blocks;
-//   3  adds the exact-search options `option.solver.optimizer`
-//      (heuristic/optimal flow resolution) and
-//      `option.solver.max_nodes` / `option.solver.max_millis`
-//      (branch-and-bound budget);
-//   4  adds `begin_kernel k<N>` blocks embedding the deduplicated DSL
-//      source of file-based kernels (frontend/kernel_file.hpp) and the
-//      per-point `kernel_source = k<N>` reference, so workers
-//      reconstruct such kernels by content the way they reconstruct
-//      target models. Built-in-kernel manifests carry no kernel blocks.
-// This reader accepts versions 1 to 4; the writer emits 4.
+// `begin_kernel` blocks embed the deduplicated DSL source of file-based
+// kernels (frontend/kernel_file.hpp), so workers reconstruct such kernels
+// by content the way they reconstruct target models; built-in-kernel
+// manifests carry none.
+//
+// Versioning policy (DESIGN.md §7): the reader accepts only the version
+// the writer emits (4) and rejects any other with an Error naming it;
+// unknown keys are errors, not extensions. A format change bumps
+// `manifest_version`, which orphans files written by older builds — this
+// tool is their only producer, so they are re-planned, not migrated.
 #pragma once
 
 #include <string>
@@ -77,7 +69,6 @@ namespace slpwlo::dist {
 
 /// A parsed manifest: everything run_shard (shard_runner.hpp) needs.
 struct ShardManifest {
-    int version = 1;
     int shard_index = 0;
     int shard_count = 1;
     ShardStrategy strategy = ShardStrategy::RoundRobin;

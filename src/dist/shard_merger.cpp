@@ -65,16 +65,14 @@ ShardResultsFile parse_shard_results(const std::string& text,
             }
             // Rows carry raw JSON which may legitimately contain '#', so
             // re-split from the raw line instead of the comment-stripped
-            // value. Versions 2-3 carry three leading columns, version 4
-            // adds measured_ns as a fourth.
+            // value: four leading columns, then the JSON.
             const size_t eq = line.raw.find('=');
             SLPWLO_ASSERT(eq != std::string::npos, "row line lost its `=`");
             const std::string payload = kv::trim(line.raw.substr(eq + 1));
-            const int columns = results.version >= 4 ? 4 : 3;
             std::vector<std::string> fields;
             size_t cursor = 0;
             bool malformed = false;
-            for (int c = 0; c < columns; ++c) {
+            for (int c = 0; c < 4; ++c) {
                 const size_t space = payload.find(' ', cursor);
                 if (space == std::string::npos) {
                     malformed = true;
@@ -85,11 +83,8 @@ ShardResultsFile parse_shard_results(const std::string& text,
             }
             if (malformed) {
                 reader.fail_here(
-                    columns == 4
-                        ? "row expects `<slot> <fingerprint> <micros> "
-                          "<measured_ns> <json>`"
-                        : "row expects `<slot> <fingerprint> <micros> "
-                          "<json>`");
+                    "row expects `<slot> <fingerprint> <micros> "
+                    "<measured_ns> <json>`");
             }
             ShardRow row;
             row.slot = static_cast<size_t>(
@@ -101,12 +96,10 @@ ShardResultsFile parse_shard_results(const std::string& text,
             if (row.micros < 0) {
                 reader.fail_here("row micros must be non-negative");
             }
-            if (columns == 4) {
-                row.measured_ns = kv::to_ll(source, line.line,
-                                            "row measured_ns", fields[3]);
-                if (row.measured_ns < 0) {
-                    reader.fail_here("row measured_ns must be non-negative");
-                }
+            row.measured_ns =
+                kv::to_ll(source, line.line, "row measured_ns", fields[3]);
+            if (row.measured_ns < 0) {
+                reader.fail_here("row measured_ns must be non-negative");
             }
             row.json = payload.substr(cursor);
             if (row.json.empty() || row.json.front() != '{' ||
@@ -115,11 +108,9 @@ ShardResultsFile parse_shard_results(const std::string& text,
             }
             results.rows.push_back(std::move(row));
         } else if (line.key == "results_version") {
-            results.version =
-                kv::to_int(source, line.line, line.key, line.value);
-            if (results.version < 2 || results.version > 4) {
+            if (kv::to_int(source, line.line, line.key, line.value) != 4) {
                 reader.fail_here("unsupported results_version " + line.value +
-                                 " (this reader knows 2-4)");
+                                 " (this reader accepts only 4)");
             }
             saw_version = true;
         } else if (line.key == "shard_index") {
@@ -185,11 +176,10 @@ ShardResultsFile load_shard_results(const std::string& path) {
     return parse_shard_results(text.str(), path);
 }
 
-std::string merge_shard_results(const std::vector<ShardResultsFile>& shards,
-                                DuplicatePolicy duplicates) {
+std::string merge_shard_results(const std::vector<ShardResultsFile>& shards) {
     SLPWLO_CHECK(!shards.empty(), "nothing to merge: no shard result files");
     RowAccumulator accumulator(shards.front().total_slots,
-                               shards.front().grid_fp, duplicates);
+                               shards.front().grid_fp);
     for (const ShardResultsFile& shard : shards) accumulator.add(shard);
     return accumulator.report();
 }

@@ -22,16 +22,13 @@
 //   rows = 6
 //   row = <slot> <point fingerprint:16 hex> <micros> <measured_ns> <JSON>
 //
-// (results_version 2 added the measured per-slot wall-clock microseconds;
-// the column is for cost models and is deliberately excluded from
-// row identity, fingerprints and merged report bytes — measurements are
-// the nondeterministic fields in an otherwise bit-reproducible pipeline.
-// results_version 3 added the stage-memo counters; a version-2 file reads
-// fine with all stage counters zero. results_version 4 added the
-// measured_ns column — the compiled kernel body's per-execution wall time
-// from FlowResult::measured_ns, 0 unless the flow ran with measure on —
-// under the same exclusion discipline as micros; version-2/3 files read
-// fine with measured_ns zero.)
+// `micros` is the slot's measured wall-clock and `measured_ns` the
+// compiled kernel body's per-execution wall time (FlowResult::measured_ns,
+// 0 unless the flow ran with measure on). Both are for cost models and
+// are deliberately excluded from row identity, fingerprints and merged
+// report bytes — measurements are the nondeterministic fields in an
+// otherwise bit-reproducible pipeline. The reader accepts only
+// results_version 4 (DESIGN.md §7).
 //
 // merge_shard_results() reassembles the rows in slot order and produces
 // output byte-identical to sweep_to_json over the unsharded grid. The
@@ -41,11 +38,11 @@
 //     against a different grid);
 //   * the same slot appearing twice with different point fingerprints or
 //     row bytes is a hard conflict (two shards claim to be the same work);
-//   * under the default policy even an *identical* duplicate slot is an
-//     overlap error (static plans are disjoint by construction — overlap
-//     means someone merged the wrong files). Elastic lease re-issue
-//     legitimately produces identical duplicates (a straggler and its
-//     replacement both finish), so that path merges with
+//   * even an *identical* duplicate slot is an overlap error (static
+//     plans are disjoint by construction — overlap means someone merged
+//     the wrong files). The farm daemon's streaming merge legitimately
+//     sees identical duplicates (a straggler and its replacement both
+//     finish), so its RowAccumulator runs under
 //     DuplicatePolicy::AllowIdentical: same fingerprint and same row
 //     bytes (micros excluded) deduplicate, anything else still conflicts;
 //   * missing slots fail with the exact holes listed.
@@ -74,7 +71,6 @@ struct ShardRow {
 };
 
 struct ShardResultsFile {
-    int version = 4;
     int shard_index = 0;
     int shard_count = 1;
     size_t total_slots = 0;
@@ -93,24 +89,21 @@ ShardResultsFile parse_shard_results(const std::string& text,
                                      const std::string& source = "<string>");
 ShardResultsFile load_shard_results(const std::string& path);
 
-/// How merge_shard_results treats the same slot reported twice with
+/// How a RowAccumulator treats the same slot reported twice with
 /// identical content (fingerprint and row bytes; micros never compared).
 enum class DuplicatePolicy {
     /// Hard error: static shard plans are disjoint, overlap is a bug.
     Error,
-    /// Keep the first row: elastic lease re-issue runs a slot twice when
-    /// a straggler and its replacement both finish. Differing content is
+    /// Keep the first row: farm re-issue runs a slot twice when a
+    /// straggler and its replacement both finish. Differing content is
     /// still a conflict under either policy.
     AllowIdentical,
 };
 
 /// Fold per-shard files into one JSON results array, byte-identical to
 /// sweep_to_json(results) of the unsharded run. Throws Error on grid
-/// mismatch, slot conflicts, duplicates the policy forbids, or missing
-/// slots.
-std::string merge_shard_results(const std::vector<ShardResultsFile>& shards,
-                                DuplicatePolicy duplicates =
-                                    DuplicatePolicy::Error);
+/// mismatch, slot conflicts, duplicate slots, or missing slots.
+std::string merge_shard_results(const std::vector<ShardResultsFile>& shards);
 
 /// The merge stage as an *online* accumulator: rows stream in (one shard
 /// file, one farm `complete` frame, one spliced batch at a time) and the

@@ -44,7 +44,7 @@ std::string to_string(ShardStrategy strategy);
 ShardStrategy shard_strategy_from_string(const std::string& text);
 
 /// Deterministic relative wall-clock estimate of one sweep point, for
-/// CostBalanced assignment and lease chunk sizing. A heuristic, not a
+/// CostBalanced assignment and farm chunk sizing. A heuristic, not a
 /// measurement: stricter accuracy constraints drive more optimizer
 /// iterations, the decoupled WLO-First flows add a Tabu search, the
 /// Float reference skips optimization entirely, and a point's embedded
@@ -105,17 +105,15 @@ std::vector<ShardPlan> make_shard_plans(
     ShardStrategy strategy = ShardStrategy::RoundRobin);
 
 /// CostBalanced partition with explicit per-slot costs instead of the
-/// estimate_point_cost heuristic — the re-serve path: slot_costs[i] is
-/// the relative cost of grid slot i (one entry per grid point). Costs
-/// only shape the wall-clock balance, never results.
+/// estimate_point_cost heuristic — the `plan --measured-from` path:
+/// slot_costs[i] is the relative cost of grid slot i (one entry per grid
+/// point). Costs only shape the wall-clock balance, never results.
 std::vector<ShardPlan> make_shard_plans(std::vector<SweepPoint> grid,
                                         int shard_count,
                                         const std::vector<double>& slot_costs);
 
-/// Options for chunk_grid_slots — how a whole grid is chopped into the
-/// demand-paged units an elastic lease directory or a farm daemon hands
-/// to workers. Shared by dist::init_lease_dir and farm::JobBoard so both
-/// layers cut identical chunks from identical inputs.
+/// Options for chunk_grid_slots — how a farm daemon (farm::JobBoard)
+/// chops a whole grid into the demand-paged units it hands to workers.
 struct ChunkOptions {
     /// Target estimated cost per chunk (estimate_point_cost units);
     /// <= 0 auto-sizes to total_cost / 16 — roughly four chunks in
@@ -123,11 +121,6 @@ struct ChunkOptions {
     double chunk_cost = 0.0;
     /// Hard cap on slots per chunk; 0 = uncapped.
     size_t max_chunk_slots = 0;
-    /// Measured per-slot costs replacing the estimate_point_cost
-    /// heuristic, one entry per *grid* slot (indexed by slot id, not by
-    /// position in `slots`). Empty = use the heuristic. Costs shape only
-    /// chunk boundaries, never results.
-    std::vector<double> measured_costs;
 };
 
 /// Chop `slots` (ascending grid slots; points[i] is the point at
@@ -142,13 +135,13 @@ std::vector<std::vector<size_t>> chunk_grid_slots(
 struct ShardResultsFile;
 
 /// Per-slot costs measured by a previous run of the same grid: the
-/// minimum `micros` reported for each slot across `files` (elastic
-/// re-issue legitimately reports a slot twice; the straggler's inflated
-/// wall-clock must not poison the plan). Slots no file reported get the
-/// mean of the measured ones (1.0 when nothing was measured), and every
-/// cost is floored at one microsecond so a degenerate measurement cannot
+/// minimum `micros` reported for each slot across `files` (a slot run
+/// twice keeps its faster wall-clock; a straggler's inflated one must
+/// not poison the plan). Slots no file reported get the mean of the
+/// measured ones (1.0 when nothing was measured), and every cost is
+/// floored at one microsecond so a degenerate measurement cannot
 /// zero out the LPT ordering. Files whose grid fingerprint or slot count
-/// disagree with (`total_slots`, `grid_fp`) throw — re-serving a
+/// disagree with (`total_slots`, `grid_fp`) throw — re-planning a
 /// different grid from old measurements would balance garbage.
 std::vector<double> measured_slot_costs(
     const std::vector<ShardResultsFile>& files, size_t total_slots,

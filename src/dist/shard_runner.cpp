@@ -31,10 +31,10 @@ PlanSource::PlanSource(const ShardManifest& manifest)
     }
 }
 
-Lease PlanSource::acquire(size_t max_slots) {
+Lease PlanSource::acquire() {
     // The inner source leases manifest *indices*; relabel them with the
     // grid slots the merge stage keys on.
-    Lease lease = inner_.acquire(max_slots);
+    Lease lease = inner_.acquire();
     for (size_t& slot : lease.slots) slot = slots_[slot];
     return lease;
 }

@@ -18,7 +18,7 @@ namespace slpwlo::dist {
 
 /// Options for one shard worker: the unified ExecOptions (threads, flow
 /// defaults, memoization, cache bound — the same struct SweepDriver and
-/// the lease workers consume) plus the dist-only warm-start snapshot.
+/// the farm workers consume) plus the dist-only warm-start snapshot.
 /// `flow_options` is overridden by the manifest's embedded defaults.
 struct ShardRunOptions : ExecOptions {
     /// Warm-start snapshot, preloaded into the EvalCache before the run.
@@ -28,7 +28,7 @@ struct ShardRunOptions : ExecOptions {
 /// Package one completed point as the serialized row the merge stage
 /// consumes: `json` is exactly sweep_result_to_json, `point_fp` the
 /// point's fingerprint, `micros` the measured wall-clock. The one place
-/// row packaging lives — PlanSource and the lease workers both use it,
+/// row packaging lives — PlanSource and the farm workers both use it,
 /// so a new column cannot be added to one path and missed in the other.
 ShardRow make_shard_row(size_t slot, const SweepPoint& point,
                         const WorkRow& row);
@@ -45,7 +45,7 @@ public:
     explicit PlanSource(const ShardManifest& manifest);
 
     size_t total_slots() const override { return slots_.size(); }
-    Lease acquire(size_t max_slots) override;
+    Lease acquire() override;
     void complete(const Lease& lease, std::vector<WorkRow> rows) override;
     void abandon(const Lease& lease) override;
 

@@ -18,12 +18,11 @@
 // pid and a process-local sequence number in the temp name so concurrent
 // builders never collide — and so temp files orphaned by a SIGKILLed
 // worker are identifiable: jit_cleanup_stale() removes `.tmp.` entries
-// older than a TTL (the lease coordinator runs it over the farm's jit
-// directory alongside its own stale-claim sweep).
+// older than a TTL.
 //
 // The directory resolves to `$SLPWLO_JIT_DIR` if set, else the process
-// default installed by set_jit_cache_directory() (the lease WorkSource
-// points it at `<lease_dir>/jit`), else `<system temp>/slpwlo-jit`.
+// default installed by set_jit_cache_directory(), else
+// `<system temp>/slpwlo-jit`.
 #pragma once
 
 #include <cstdint>

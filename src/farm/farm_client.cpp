@@ -144,14 +144,11 @@ SocketWorkSource::SocketWorkSource(FarmClient& client, std::string worker,
 
 size_t SocketWorkSource::total_slots() const { return manifest_.total_slots; }
 
-Lease SocketWorkSource::acquire(size_t max_slots) {
+Lease SocketWorkSource::acquire() {
     Message request;
     request.verb = "acquire";
     request.fields["worker"] = worker_;
     request.fields["job"] = std::to_string(job_);
-    if (max_slots > 0) {
-        request.fields["max_slots"] = std::to_string(max_slots);
-    }
     while (true) {
         const Message response = client_.call(request);
         if (response.field("lease").empty()) {
@@ -267,7 +264,7 @@ size_t run_farm_worker(const std::string& host, int port,
         SweepService service(exec);
         SocketWorkSource source(client, options.worker, job, manifest,
                                 options.poll_ms, options.straggle_ms);
-        executed += service.drain(source, options.max_slots);
+        executed += service.drain(source);
     }
     return executed;
 }

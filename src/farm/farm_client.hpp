@@ -16,8 +16,8 @@
 //                     acquire() is the `acquire` verb (polling while the
 //                     daemon says wait — claimed chunks elsewhere may
 //                     expire back), complete() packages rows with the
-//                     same dist::make_shard_row the lease path uses and
-//                     ships them as one atomic `complete` frame.
+//                     same dist::make_shard_row the static shard path
+//                     uses and ships them as one atomic `complete` frame.
 //
 // run_worker() is the whole worker loop the CLI's `work --connect` verb
 // wraps: register, then per job — fetch the manifest, build a
@@ -100,7 +100,7 @@ public:
                      long long poll_ms = 200, long long straggle_ms = 0);
 
     size_t total_slots() const override;
-    Lease acquire(size_t max_slots) override;
+    Lease acquire() override;
     void complete(const Lease& lease, std::vector<WorkRow> rows) override;
     void abandon(const Lease& lease) override;
 
@@ -118,7 +118,6 @@ struct FarmWorkerOptions {
     std::string worker;           ///< worker id (must be unique per farm)
     long long heartbeat_ms = 1000;
     long long poll_ms = 200;
-    size_t max_slots = 0;         ///< acquire hint (chunks never split)
     ExecOptions exec;             ///< flow_options overridden per job
     long long straggle_ms = 0;    ///< test hook, see SocketWorkSource
     /// Worker-local execution knobs, re-applied on top of every job's

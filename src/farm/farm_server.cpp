@@ -277,11 +277,7 @@ Message FarmServer::handle(const Message& request, long long now) {
         if (request.verb == "acquire") {
             const JobBoard::Acquired acquired = board_.acquire(
                 request.require_field("worker"),
-                static_cast<size_t>(request.require_ll("job")),
-                request.field("max_slots").empty()
-                    ? 0
-                    : static_cast<size_t>(request.require_ll("max_slots")),
-                now);
+                static_cast<size_t>(request.require_ll("job")), now);
             Message response = ok();
             if (acquired.slots.empty()) {
                 response.fields["wait"] = acquired.wait ? "1" : "0";

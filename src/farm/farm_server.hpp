@@ -19,7 +19,7 @@
 //              previous run's rows file
 //   next_job                                    -> ok  job= | drained=1 | wait=1
 //   manifest   job=                             -> ok  body: manifest text
-//   acquire    worker= job= [max_slots=]        -> ok  lease= slots=a,b,c
+//   acquire    worker= job=                     -> ok  lease= slots=a,b,c
 //                                                      | wait=0|1 (empty)
 //   complete   worker= job= lease=              -> ok  finalized=0|1
 //              body: rows file covering the

@@ -10,13 +10,11 @@
 // expiry/re-issue state machine is unit-testable at ttl 0 without a
 // single sleep.
 //
-// The design transplants the elastic lease directory's semantics
-// (dist/lease_coordinator.hpp) from the filesystem to memory:
+// The board is the project's one elastic engine:
 //
 //   * a job is a whole-grid manifest (slots 0..n-1), cut into
-//     cost-balanced chunks by the shared dist::chunk_grid_slots cutter —
-//     the same function the lease directory uses, so both layers chop
-//     identical chunks from identical inputs;
+//     cost-balanced chunks by dist::chunk_grid_slots, a pure function of
+//     the grid and the submit's chunk options;
 //   * workers claim chunks (each claim issues a fresh lease id), renew
 //     liveness by heartbeat, and a worker whose heartbeat goes stale for
 //     ttl_ms has every claimed chunk silently re-issued;
@@ -99,11 +97,8 @@ public:
     };
 
     /// Claim the next pending chunk of `job` for `worker`, whole: one
-    /// chunk per lease, never split — the pre-cut chunk is the natural
-    /// granularity WorkSource lets a source round a positive max_slots
-    /// up to. Claims count as heartbeats.
-    Acquired acquire(const std::string& worker, size_t job, size_t max_slots,
-                     long long now_ms);
+    /// chunk per lease, never split. Claims count as heartbeats.
+    Acquired acquire(const std::string& worker, size_t job, long long now_ms);
 
     /// Fold one completed lease in: `rows_text` is a shard results file
     /// whose rows cover exactly the lease's slots. Atomic — a validation

@@ -89,8 +89,8 @@ const KernelContext& SweepDriver::context(const std::string& kernel_name) {
 std::vector<SweepResult> SweepDriver::run(
     const std::vector<SweepPoint>& points) {
     // The whole grid as one in-process work source, drained through the
-    // same service the sharded and elastic paths use. A full-size lease
-    // keeps the historical behavior: one pool run over every point.
+    // same service the sharded and farm paths use. VectorSource leases
+    // every point at once: one pool run over the whole grid.
     VectorSource source(points);
     SweepService service(*this);
     service.drain(source);

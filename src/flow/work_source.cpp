@@ -13,21 +13,17 @@ VectorSource::VectorSource(std::vector<SweepPoint> points)
     for (size_t i = 0; i < points_.size(); ++i) pending_.push_back(i);
 }
 
-Lease VectorSource::acquire(size_t max_slots) {
+Lease VectorSource::acquire() {
     Lease lease;
-    const size_t take = max_slots == 0
-                            ? pending_.size()
-                            : std::min(max_slots, pending_.size());
-    lease.slots.reserve(take);
-    lease.points.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-        const size_t slot = pending_.front();
-        pending_.pop_front();
+    lease.slots.reserve(pending_.size());
+    lease.points.reserve(pending_.size());
+    for (const size_t slot : pending_) {
         lease.slots.push_back(slot);
         // Moved, not copied: a leased point lives in its lease until the
         // slot is completed (dropped) or abandoned (moved back).
         lease.points.push_back(std::move(points_[slot]));
     }
+    pending_.clear();
     // pending_ is kept sorted (abandon reinserts in order), so a lease is
     // not always contiguous — but it is always ascending.
     if (!lease.slots.empty()) lease.id = lease.slots.front();
@@ -93,10 +89,10 @@ SweepService::SweepService(SweepDriver& driver) : driver_(&driver) {}
 
 SweepService::~SweepService() = default;
 
-size_t SweepService::drain(WorkSource& source, size_t max_slots) {
+size_t SweepService::drain(WorkSource& source) {
     size_t executed = 0;
     for (;;) {
-        Lease lease = source.acquire(max_slots);
+        Lease lease = source.acquire();
         if (lease.empty()) break;
         SLPWLO_CHECK(lease.slots.size() == lease.points.size(),
                      "lease slots/points size mismatch");

@@ -8,7 +8,7 @@
 // plan, and the slpwlo-shard CLI around both — each hard-coding its own
 // notion of "what do I run next". WorkSource abstracts that seam once:
 //
-//   acquire(max_slots) -> Lease      some slots and their points
+//   acquire() -> Lease               some slots and their points
 //   complete(lease, rows)            results (plus measured wall-clock)
 //   abandon(lease)                   the work goes back to the pool
 //
@@ -17,12 +17,13 @@
 // the work was chopped into leases (the driver's slot-ordered determinism
 // guarantee). Sources differ only in where work lives:
 //
-//   VectorSource          a point vector in this process (SweepDriver::run
-//                         is now a thin wrapper over it);
-//   dist::PlanSource      a static shard plan / manifest (run_shard);
-//   dist::LeaseWorkSource a shared lease directory handing slot ranges to
-//                         worker processes on demand (elastic sweeps with
-//                         expiry and re-issue; dist/lease_coordinator.hpp).
+//   VectorSource            a point vector in this process
+//                           (SweepDriver::run is a thin wrapper over it);
+//   dist::PlanSource        a static shard plan / manifest (run_shard);
+//   farm::SocketWorkSource  one job of a farm daemon, whose chunks are
+//                           handed to worker processes on demand (elastic
+//                           sweeps with heartbeat expiry and re-issue;
+//                           farm/farm_client.hpp).
 //
 // A source is consumed by one service at a time (methods are not
 // thread-safe); concurrency across *workers* comes from several processes
@@ -39,8 +40,8 @@
 namespace slpwlo {
 
 /// One unit of acquired work: parallel slot/point arrays, slots ascending.
-/// `id` identifies the lease to its source (a chunk index for lease
-/// directories; sources that never re-issue may leave it 0).
+/// `id` identifies the lease to its source (the daemon's lease id for
+/// farm chunks; sources that never re-issue may leave it 0).
 struct Lease {
     uint64_t id = 0;
     std::vector<size_t> slots;       ///< grid slots, ascending
@@ -69,10 +70,9 @@ public:
     /// Number of grid slots this source covers (for sizing and progress).
     virtual size_t total_slots() const = 0;
 
-    /// Acquire up to `max_slots` slots of work (0 = no bound; sources
-    /// with a natural granularity, e.g. pre-chopped lease chunks, may
-    /// round a positive bound up to it). Empty lease <=> drained.
-    virtual Lease acquire(size_t max_slots) = 0;
+    /// Acquire the next unit of work: everything pending for in-process
+    /// sources, one pre-cut chunk for a farm job. Empty lease <=> drained.
+    virtual Lease acquire() = 0;
 
     /// Report a lease finished; `rows[i]` corresponds to
     /// `lease.points[i]`.
@@ -89,7 +89,7 @@ public:
     explicit VectorSource(std::vector<SweepPoint> points);
 
     size_t total_slots() const override { return points_.size(); }
-    Lease acquire(size_t max_slots) override;
+    Lease acquire() override;
     void complete(const Lease& lease, std::vector<WorkRow> rows) override;
     void abandon(const Lease& lease) override;
 
@@ -120,11 +120,10 @@ public:
     SweepDriver& driver() { return *driver_; }
     const SweepDriver& driver() const { return *driver_; }
 
-    /// Pump the source dry: acquire up to `max_slots` (0 = everything the
-    /// source will give at once), run, complete, repeat until an empty
+    /// Pump the source dry: acquire, run, complete, repeat until an empty
     /// lease. Returns the number of points executed by *this* service —
     /// under elastic sources other workers may have run the rest.
-    size_t drain(WorkSource& source, size_t max_slots = 0);
+    size_t drain(WorkSource& source);
 
 private:
     std::unique_ptr<SweepDriver> owned_;

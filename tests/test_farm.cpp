@@ -191,12 +191,12 @@ TEST(FarmJobBoard, ChunkLifecycleToFinalizedReport) {
     std::vector<std::pair<uint64_t, std::vector<size_t>>> leases;
     for (int i = 0; i < 4; ++i) {
         const JobBoard::Acquired got =
-            board.acquire(i % 2 == 0 ? "w1" : "w2", job, 0, 10);
+            board.acquire(i % 2 == 0 ? "w1" : "w2", job, 10);
         ASSERT_FALSE(got.slots.empty());
         leases.push_back({got.lease, got.slots});
     }
     // Pool empty but unfinished: an idle worker should wait, not leave.
-    const JobBoard::Acquired empty = board.acquire("w3", job, 0, 11);
+    const JobBoard::Acquired empty = board.acquire("w3", job, 11);
     EXPECT_TRUE(empty.slots.empty());
     EXPECT_TRUE(empty.wait);
 
@@ -219,7 +219,7 @@ TEST(FarmJobBoard, ChunkLifecycleToFinalizedReport) {
                   std::string::npos);
     }
     // After finalize: acquire returns empty with wait=false — move on.
-    const JobBoard::Acquired done = board.acquire("w1", job, 0, 30);
+    const JobBoard::Acquired done = board.acquire("w1", job, 30);
     EXPECT_TRUE(done.slots.empty());
     EXPECT_FALSE(done.wait);
 }
@@ -234,13 +234,13 @@ TEST(FarmJobBoard, TtlZeroExpiryReissuesAndAcceptsStragglers) {
     chunking.chunk_cost = 1e18;  // a single chunk covering the grid
     const size_t job = board.submit(text, chunking, "", 0);
 
-    const JobBoard::Acquired first = board.acquire("slow", job, 0, 1);
+    const JobBoard::Acquired first = board.acquire("slow", job, 1);
     ASSERT_FALSE(first.slots.empty());
     EXPECT_EQ(board.expire(1), 1u) << "ttl 0 expires the claim immediately";
     EXPECT_EQ(board.reissues(), 1u);
 
     // The replacement claims the same chunk under a fresh lease.
-    const JobBoard::Acquired second = board.acquire("fast", job, 0, 2);
+    const JobBoard::Acquired second = board.acquire("fast", job, 2);
     ASSERT_EQ(second.slots, first.slots);
     EXPECT_NE(second.lease, first.lease);
 
@@ -266,7 +266,7 @@ TEST(FarmJobBoard, CompletionIsAtomic) {
     chunking.chunk_cost = 1e18;  // cost never cuts...
     chunking.max_chunk_slots = 2;  // ...so the slot cap rules: 2x2
     const size_t job = board.submit(text, chunking, "", 0);
-    const JobBoard::Acquired got = board.acquire("w1", job, 0, 1);
+    const JobBoard::Acquired got = board.acquire("w1", job, 1);
     ASSERT_EQ(got.slots.size(), 2u);
 
     // Rows that do not cover the lease's slots exactly: rejected, and
@@ -293,13 +293,13 @@ TEST(FarmJobBoard, AbandonReturnsChunksToThePool) {
     ChunkOptions chunking;
     chunking.chunk_cost = 1e18;  // one chunk for the whole grid
     const size_t job = board.submit(text, chunking, "", 0);
-    const JobBoard::Acquired got = board.acquire("w1", job, 0, 1);
+    const JobBoard::Acquired got = board.acquire("w1", job, 1);
     ASSERT_FALSE(got.slots.empty());
     board.abandon(job, got.lease);
-    const JobBoard::Acquired again = board.acquire("w2", job, 0, 2);
+    const JobBoard::Acquired again = board.acquire("w2", job, 2);
     EXPECT_EQ(again.slots, got.slots);
     board.abandon(job, got.lease);  // stale: ignored, w2 keeps its claim
-    const JobBoard::Acquired blocked = board.acquire("w3", job, 0, 3);
+    const JobBoard::Acquired blocked = board.acquire("w3", job, 3);
     EXPECT_TRUE(blocked.slots.empty());
     EXPECT_TRUE(blocked.wait);
 }
@@ -313,7 +313,7 @@ TEST(FarmJobBoard, SubmitWithSpliceRowsFinalizesUnchangedGrids) {
     ChunkOptions chunking;
     chunking.chunk_cost = 1e18;  // one chunk for the whole grid
     const size_t first = board.submit(text, chunking, "", 0);
-    const JobBoard::Acquired got = board.acquire("w1", first, 0, 1);
+    const JobBoard::Acquired got = board.acquire("w1", first, 1);
     board.complete("w1", first, got.lease,
                    synthetic_rows(manifest, got.slots), 2);
     const std::string rows = board.rows_text(first);
@@ -325,7 +325,7 @@ TEST(FarmJobBoard, SubmitWithSpliceRowsFinalizesUnchangedGrids) {
     EXPECT_EQ(board.splice_count(second), manifest.total_slots);
     EXPECT_EQ(board.report(second), board.report(first))
         << "a fully-spliced job reproduces the original report bytes";
-    const JobBoard::Acquired none = board.acquire("w1", second, 0, 11);
+    const JobBoard::Acquired none = board.acquire("w1", second, 11);
     EXPECT_TRUE(none.slots.empty());
     EXPECT_FALSE(none.wait);
 }
@@ -341,7 +341,7 @@ TEST(FarmJobBoard, StatusJsonTracksLiveState) {
     ChunkOptions chunking;
     chunking.chunk_cost = 1e18;  // one chunk for the whole grid
     const size_t job = board.submit(text, chunking, "", 0);
-    const JobBoard::Acquired got = board.acquire("wo\"rker", job, 0, 1);
+    const JobBoard::Acquired got = board.acquire("wo\"rker", job, 1);
 
     std::string status = board.status_json(5);
     EXPECT_NE(status.find("\"drained\": false"), std::string::npos);

@@ -160,7 +160,6 @@ TEST(ShardManifest, RoundTripsExactly) {
         const ShardManifest manifest =
             parse_shard_manifest(text, "<round-trip>");
 
-        EXPECT_EQ(manifest.version, 4);
         EXPECT_EQ(manifest.shard_index, plan.shard_index);
         EXPECT_EQ(manifest.shard_count, plan.shard_count);
         EXPECT_EQ(manifest.strategy, plan.strategy);
@@ -251,23 +250,13 @@ TEST(ShardManifest, RejectsMalformedInput) {
     const std::string good = shard_manifest_text(plans[0]);
     EXPECT_NO_THROW(parse_shard_manifest(good));
 
-    // Unsupported version (the versioning policy: readers reject what
-    // they do not know — v1 to v4 parse, v5 does not exist yet).
+    // Unsupported version (a version this build does not write yet).
     {
         std::string text = good;
         const size_t pos = text.find("manifest_version = 4");
         ASSERT_NE(pos, std::string::npos);
         text.replace(pos, 20, "manifest_version = 5");
         EXPECT_THROW(parse_shard_manifest(text), Error);
-    }
-    // A version-1 header still parses (pre-evaluator manifests remain
-    // readable).
-    {
-        std::string text = good;
-        const size_t pos = text.find("manifest_version = 4");
-        ASSERT_NE(pos, std::string::npos);
-        text.replace(pos, 20, "manifest_version = 1");
-        EXPECT_NO_THROW(parse_shard_manifest(text));
     }
     // Unterminated point block.
     {
@@ -295,6 +284,34 @@ TEST(ShardManifest, RejectsMalformedInput) {
     EXPECT_THROW(parse_shard_manifest("kernel = FIR\n"), Error);
 }
 
+/// Replace the `<key> = <current>` header line of `text` with version
+/// `older`, parse it with `parse`, and return the Error message (empty
+/// when nothing was thrown).
+template <typename Parse>
+std::string previous_version_error(std::string text, const std::string& key,
+                                   int current, int older, Parse parse) {
+    const std::string line = key + " = " + std::to_string(current);
+    const size_t pos = text.find(line);
+    if (pos == std::string::npos) return "header line not found";
+    text.replace(pos, line.size(), key + " = " + std::to_string(older));
+    try {
+        parse(text);
+    } catch (const Error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ShardManifest, RejectsPreviousVersionNamingTheAcceptedOne) {
+    const std::vector<ShardPlan> plans =
+        make_shard_plans(small_grid(), 1, ShardStrategy::RoundRobin);
+    const std::string what = previous_version_error(
+        shard_manifest_text(plans[0]), "manifest_version", 4, 3,
+        [](const std::string& text) { parse_shard_manifest(text); });
+    EXPECT_NE(what.find("manifest_version 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("accepts only 4"), std::string::npos) << what;
+}
+
 // --- cache snapshots -----------------------------------------------------------
 
 EvalCache::StageEntry synthetic_stage_entry() {
@@ -317,8 +334,8 @@ EvalCache::StageEntry synthetic_stage_entry() {
     stage.tabu_stats.initial_cost = 19.75;
     stage.tabu_stats.best_cost = -std::numeric_limits<double>::infinity();
     stage.tabu_stats.feasible = true;
-    // Solver stats (snapshot_version 3): a warm-started exact flow must
-    // reproduce the cold run's solver block byte for byte.
+    // Solver stats: a warm-started exact flow must reproduce the cold
+    // run's solver block byte for byte.
     stage.solver_stats.ran = true;
     stage.solver_stats.nodes = 137;
     stage.solver_stats.solves = 1;
@@ -352,7 +369,7 @@ TEST(CacheSnapshot, RoundTripsBitExactly) {
         EXPECT_EQ(loaded.entries[i].first, snapshot.entries[i].first);
         EXPECT_TRUE(loaded.entries[i].second == snapshot.entries[i].second);
     }
-    // Stage-memo entries (snapshot_version 2) round-trip field for field.
+    // Stage-memo entries round-trip field for field.
     ASSERT_EQ(loaded.stage_entries.size(), 1u);
     EXPECT_EQ(loaded.stage_entries[0].first, 0xaaaaull);
     EXPECT_TRUE(loaded.stage_entries[0].second == synthetic_stage_entry());
@@ -468,41 +485,36 @@ TEST(CacheSnapshot, RejectsMalformedInput) {
     EXPECT_THROW(parse_cache_snapshot("entries = 0\n"), Error);  // no version
     EXPECT_THROW(parse_cache_snapshot("snapshot_version = 9\n"), Error);
     EXPECT_THROW(
-        parse_cache_snapshot("snapshot_version = 1\nentries = 2\n"), Error);
-    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 1\n"
+        parse_cache_snapshot("snapshot_version = 3\nentries = 2\n"), Error);
+    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 3\n"
                                       "entry = zzz 1 2 0000000000000000\n"),
                  Error);
     // Duplicate header keys must not silently last-win.
     EXPECT_THROW(
-        parse_cache_snapshot("snapshot_version = 1\nsnapshot_version = 1\n"),
+        parse_cache_snapshot("snapshot_version = 3\nsnapshot_version = 3\n"),
         Error);
-    // A version-1 file (no stage lines) still reads; one that smuggles
-    // stage entries in does not.
-    EXPECT_NO_THROW(parse_cache_snapshot(
-        "snapshot_version = 1\n"
-        "entry = 0000000000000001 1 2 0000000000000000\n"));
-    EXPECT_THROW(parse_cache_snapshot(
-                     "snapshot_version = 1\n"
-                     "stage_entry = 0000000000000001 0 0 0 0 0 0 0 0 0 0 0 "
-                     "0 0 0 0 0 0 0 0 0000000000000000 0000000000000000 "
-                     "0 0\n"),
-                 Error);
     // Truncated or trailing stage_entry token streams are rejected.
-    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 2\n"
+    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 3\n"
                                       "stage_entry = 0000000000000001 0 1\n"),
                  Error);
-    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 2\n"
+    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 3\n"
                                       "stage_entries = 3\n"),
                  Error);
-    // A version-2 header cannot smuggle the version-3 solver suffix: the
-    // writer's own v3 stage lines have trailing fields under a v2 reader.
     {
         std::string text = good;
-        const size_t pos = text.find("snapshot_version = 3");
-        ASSERT_NE(pos, std::string::npos);
-        text.replace(pos, 20, "snapshot_version = 2");
+        const size_t eol = text.find('\n', text.find("stage_entry = "));
+        ASSERT_NE(eol, std::string::npos);
+        text.insert(eol, " 7");
         EXPECT_THROW(parse_cache_snapshot(text), Error);
     }
+}
+
+TEST(CacheSnapshot, RejectsPreviousVersionNamingTheAcceptedOne) {
+    const std::string what = previous_version_error(
+        cache_snapshot_text(synthetic_snapshot()), "snapshot_version", 3, 2,
+        [](const std::string& text) { parse_cache_snapshot(text); });
+    EXPECT_NE(what.find("snapshot_version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("accepts only 3"), std::string::npos) << what;
 }
 
 TEST(CacheSnapshot, StageEntriesMergeAndDetectConflicts) {
@@ -641,6 +653,16 @@ TEST(ShardMerger, ResultsFileRoundTrips) {
     // silently last-win its way past the merge checks.
     const std::string text = shard_results_text(file);
     EXPECT_THROW(parse_shard_results(text + text, "<concat>"), Error);
+}
+
+TEST(ShardMerger, ResultsRejectPreviousVersionNamingTheAcceptedOne) {
+    ShardResultsFile file = tiny_results(0, 1, 2, 0xabc);
+    file.rows.push_back(ShardRow{0, 0x1, "{\"x\":1}", 10});
+    const std::string what = previous_version_error(
+        shard_results_text(file), "results_version", 4, 3,
+        [](const std::string& text) { parse_shard_results(text); });
+    EXPECT_NE(what.find("results_version 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("accepts only 4"), std::string::npos) << what;
 }
 
 // --- end to end (in-process) ---------------------------------------------------

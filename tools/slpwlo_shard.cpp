@@ -4,12 +4,11 @@
 // a manifest as an independent worker process, and folds per-shard result
 // files back into the exact JSON the single-process sweep would have
 // produced (byte-identical; the merge refuses grids that do not match).
-// Beside the static plan/run/merge pipeline, serve/work run the same
-// grid *elastically*: a coordinator chops a whole-grid manifest into
-// cost-balanced chunks in a lease directory, and any number of workers
-// acquire, run and publish chunks on demand — with lease expiry and
-// re-issue, so a straggling or killed worker's slots are re-acquired
-// (dist/lease_coordinator.hpp).
+// Beside the static plan/run/merge pipeline, daemon/submit/work run the
+// same grid *elastically*: a farm daemon chops a whole-grid manifest into
+// cost-balanced chunks, and any number of workers connect over TCP and
+// drain them on demand — with heartbeat expiry and re-issue, so a
+// straggling or killed worker's chunks are re-acquired (farm/).
 //
 //   slpwlo-shard plan  --shards N --out-prefix P --kernels A,B
 //                      --targets X,Y [--widths 0,64] [--flows F,G]
@@ -20,24 +19,17 @@
 //                      [--snapshot-in FILE] [--snapshot-out FILE]
 //                      [--cache-capacity N] [--json[=FILE]]
 //                      [--evaluator tape|walker|compiled] [--measure]
-//   slpwlo-shard serve --manifest FILE --dir DIR [--chunk-cost C]
-//                      [--chunk-slots N] [--ttl-ms T]
-//                      [--measured-from RESULTS]...
-//   slpwlo-shard work  --dir DIR [--worker ID] [--threads N]
-//                      [--snapshot-in FILE] [--snapshot-out FILE]
-//                      [--cache-capacity N] [--straggle-ms T]
-//                      [--evaluator tape|walker|compiled] [--measure]
-//   slpwlo-shard merge --out FILE (RESULTS... | --lease-dir DIR)
+//   slpwlo-shard merge --out FILE RESULTS...
 //                      [--cache FILE]... [--cache-out FILE]
 //
 // The measured-cost loop: a first sweep's result files carry per-slot
-// wall-clock micros; `plan --measured-from` / `serve --measured-from`
-// re-balance the *same grid* from those measurements instead of the
-// estimate_point_cost heuristic. `--evaluator compiled` swaps the
-// noise-evaluation backend for the jit-compiled one (bit-identical
-// results, orders-of-magnitude faster on large stimulus sets) and
-// `--measure` adds a measured_ns column to the rows — neither changes a
-// single result byte, so mixed-backend farms still merge cleanly.
+// wall-clock micros; `plan --measured-from` re-balances the *same grid*
+// from those measurements instead of the estimate_point_cost heuristic.
+// `--evaluator compiled` swaps the noise-evaluation backend for the
+// jit-compiled one (bit-identical results, orders-of-magnitude faster on
+// large stimulus sets) and `--measure` adds a measured_ns column to the
+// rows — neither changes a single result byte, so mixed-backend farms
+// still merge cleanly.
 //
 // A typical static 4-machine sweep (one command per line; see DESIGN.md
 // §7 for the shell version with line continuations):
@@ -53,18 +45,12 @@
 //       --cache sweep.0.snap --cache sweep.1.snap --cache sweep.2.snap
 //       --cache sweep.3.snap --cache-out warm.snap
 //
-// The same grid elastically, over any shared directory (DESIGN.md §9):
+// The same grid elastically, through a long-lived socket daemon — no
+// shared filesystem, workers connect over TCP, completed rows stream into
+// an online merge and the report is ready the instant the last slot lands
+// (DESIGN.md §15):
 //
 //   $ slpwlo-shard plan --shards 1 --kernels ... --out-prefix grid
-//   $ slpwlo-shard serve --manifest grid.0.manifest --dir farm
-//   ... on each worker machine, as many times as you like ...
-//   $ slpwlo-shard work --dir farm
-//   $ slpwlo-shard merge --out sweep.json --lease-dir farm
-//
-// Or as a long-lived socket daemon — no shared filesystem, workers
-// connect over TCP, completed rows stream into an online merge and the
-// report is ready the instant the last slot lands (DESIGN.md §15):
-//
 //   $ slpwlo-shard daemon --listen 7477 &
 //   $ slpwlo-shard submit --connect :7477 --manifest grid.0.manifest
 //   ... on each worker machine ...
@@ -89,7 +75,6 @@
 #include "dist/cache_snapshot.hpp"
 #include "farm/farm_client.hpp"
 #include "farm/farm_server.hpp"
-#include "dist/lease_coordinator.hpp"
 #include "dist/shard_manifest.hpp"
 #include "dist/shard_merger.hpp"
 #include "dist/shard_plan.hpp"
@@ -126,21 +111,6 @@ void usage(FILE* out) {
         "                     [--cache-capacity N] [--json[=FILE]]\n"
         "                     [--evaluator tape|walker|compiled]\n"
         "                     [--optimizer heuristic|optimal] [--measure]\n"
-        "  slpwlo-shard serve --manifest FILE --dir DIR [--chunk-cost C]\n"
-        "                     [--chunk-slots N] [--ttl-ms T]\n"
-        "                     [--measured-from RESULTS]...\n"
-        "                     initialize an elastic lease directory from a\n"
-        "                     whole-grid manifest (plan --shards 1)\n"
-        "  slpwlo-shard work  --dir DIR [--worker ID] [--threads N]\n"
-        "                     [--snapshot-in FILE] [--snapshot-out FILE]\n"
-        "                     [--cache-capacity N] [--straggle-ms T]\n"
-        "                     [--evaluator tape|walker|compiled]\n"
-        "                     [--optimizer heuristic|optimal] [--measure]\n"
-        "                     [--max-slots N]\n"
-        "                     acquire, run and publish lease chunks until\n"
-        "                     the directory drains (expired leases are\n"
-        "                     stolen and re-issued); --max-slots caps one\n"
-        "                     acquisition, splitting bigger chunks\n"
         "  slpwlo-shard work  --connect HOST:PORT [--worker ID]\n"
         "                     [--heartbeat-ms T] [--poll-ms T] [--threads N]\n"
         "                     [--cache-capacity N] [--straggle-ms T]\n"
@@ -149,7 +119,7 @@ void usage(FILE* out) {
         "                     drain a farm daemon's jobs over TCP; missed\n"
         "                     heartbeats expire this worker's chunks for\n"
         "                     re-issue\n"
-        "  slpwlo-shard merge --out FILE (RESULTS... | --lease-dir DIR)\n"
+        "  slpwlo-shard merge --out FILE RESULTS...\n"
         "                     [--cache FILE]... [--cache-out FILE]\n"
         "  slpwlo-shard merge --connect HOST:PORT --job N --out FILE\n"
         "                     [--rows-out FILE]\n"
@@ -225,18 +195,6 @@ Optimizer optimizer_flag(const std::string& flag, const std::string& value) {
     } catch (const Error& e) {
         bad_usage(flag + ": " + e.what());
     }
-}
-
-/// Load the rows files behind --measured-from into per-slot costs,
-/// checked against the grid being planned.
-std::vector<double> load_measured_costs(const std::vector<std::string>& paths,
-                                        size_t total_slots, uint64_t grid_fp) {
-    std::vector<ShardResultsFile> files;
-    files.reserve(paths.size());
-    for (const std::string& path : paths) {
-        files.push_back(load_shard_results(path));
-    }
-    return measured_slot_costs(files, total_slots, grid_fp);
 }
 
 std::vector<std::string> split_list(const std::string& text) {
@@ -383,7 +341,12 @@ int cmd_plan(Args args) {
         // embedded before the files are loaded.
         embed_target_models(grid);
         embed_kernel_sources(grid);
-        measured = load_measured_costs(measured_from, grid.size(),
+        std::vector<ShardResultsFile> files;
+        files.reserve(measured_from.size());
+        for (const std::string& path : measured_from) {
+            files.push_back(load_shard_results(path));
+        }
+        measured = measured_slot_costs(files, grid.size(),
                                        grid_fingerprint(grid));
         plans = make_shard_plans(grid, shards, measured);
     } else {
@@ -491,166 +454,58 @@ int cmd_run(Args args) {
     return 0;
 }
 
-int cmd_serve(Args args) {
-    std::string manifest_path, dir;
-    std::vector<std::string> measured_from;
-    LeaseOptions options;
-
-    std::string arg;
-    while (args.next(arg)) {
-        if (arg == "--manifest") {
-            manifest_path = args.value(arg);
-        } else if (arg == "--dir") {
-            dir = args.value(arg);
-        } else if (arg == "--chunk-cost") {
-            options.chunk_cost = double_flag(arg, args.value(arg));
-        } else if (arg == "--chunk-slots") {
-            options.max_chunk_slots =
-                static_cast<size_t>(int_flag(arg, args.value(arg)));
-        } else if (arg == "--ttl-ms") {
-            options.ttl_ms = int_flag(arg, args.value(arg));
-        } else if (arg == "--measured-from") {
-            measured_from.push_back(args.value(arg));
-        } else {
-            bad_usage("unknown serve flag `" + arg + "`");
-        }
-    }
-    if (manifest_path.empty()) bad_usage("serve needs --manifest");
-    if (dir.empty()) bad_usage("serve needs --dir");
-
-    const ShardManifest manifest = load_shard_manifest(manifest_path);
-    if (!measured_from.empty()) {
-        options.measured_costs = load_measured_costs(
-            measured_from, manifest.total_slots, manifest.grid_fp);
-    }
-    const size_t chunks = init_lease_dir(dir, manifest, options);
-    std::printf("lease directory %s: %zu slots in %zu chunks%s, ttl %lld ms\n",
-                dir.c_str(), manifest.total_slots, chunks,
-                measured_from.empty() ? "" : " (measured costs)",
-                options.ttl_ms);
-    return 0;
-}
-
 int cmd_work(Args args) {
-    std::string dir, connect, snapshot_in, snapshot_out;
-    LeaseWorkerOptions worker;
-    ExecOptions exec;
-    bool has_evaluator = false;
-    SimBackend evaluator = SimBackend::Tape;
-    bool measure = false;
-    bool has_optimizer = false;
-    Optimizer optimizer = Optimizer::Heuristic;
-    size_t max_slots = 0;
-    long long heartbeat_ms = 1000;
-    long long poll_ms = 200;
+    std::string connect;
+    farm::FarmWorkerOptions options;
 
     std::string arg;
     while (args.next(arg)) {
-        if (arg == "--dir") {
-            dir = args.value(arg);
-        } else if (arg == "--connect") {
+        if (arg == "--connect") {
             connect = args.value(arg);
         } else if (arg == "--worker") {
-            worker.worker_id = args.value(arg);
+            options.worker = args.value(arg);
         } else if (arg == "--heartbeat-ms") {
-            heartbeat_ms = int_flag(arg, args.value(arg));
+            options.heartbeat_ms = int_flag(arg, args.value(arg));
         } else if (arg == "--poll-ms") {
-            poll_ms = int_flag(arg, args.value(arg));
+            options.poll_ms = int_flag(arg, args.value(arg));
         } else if (arg == "--threads") {
-            exec.threads = int_flag(arg, args.value(arg));
-        } else if (arg == "--snapshot-in") {
-            snapshot_in = args.value(arg);
-        } else if (arg == "--snapshot-out") {
-            snapshot_out = args.value(arg);
+            options.exec.threads = int_flag(arg, args.value(arg));
         } else if (arg == "--cache-capacity") {
-            exec.cache_capacity =
+            options.exec.cache_capacity =
                 static_cast<size_t>(int_flag(arg, args.value(arg)));
         } else if (arg == "--straggle-ms") {
-            // Test hook: hold every lease this long before publishing, to
-            // exercise expiry, steal and duplicate resolution end to end.
-            worker.straggle_ms = int_flag(arg, args.value(arg));
+            // Test hook: hold every chunk this long before completing it,
+            // to exercise expiry, re-issue and duplicate resolution end
+            // to end.
+            options.straggle_ms = int_flag(arg, args.value(arg));
         } else if (arg == "--evaluator") {
-            evaluator = backend_flag(arg, args.value(arg));
-            has_evaluator = true;
+            options.evaluator = backend_flag(arg, args.value(arg));
         } else if (arg == "--measure") {
-            measure = true;
+            options.measure = true;
         } else if (arg == "--optimizer") {
-            optimizer = optimizer_flag(arg, args.value(arg));
-            has_optimizer = true;
-        } else if (arg == "--max-slots") {
-            // Cap one acquisition: chunks bigger than this are split in
-            // the lease directory, the remainder published for any worker.
-            max_slots = static_cast<size_t>(int_flag(arg, args.value(arg)));
+            options.optimizer = optimizer_flag(arg, args.value(arg));
         } else {
             bad_usage("unknown work flag `" + arg + "`");
         }
     }
-    if (dir.empty() == connect.empty()) {
-        bad_usage("work needs --dir or --connect (not both)");
-    }
+    if (connect.empty()) bad_usage("work needs --connect HOST:PORT");
 
-    if (!connect.empty()) {
-        // Farm mode: the daemon owns chunking, merge and snapshots; the
-        // worker is just the drain loop over a socket.
-        if (!snapshot_in.empty() || !snapshot_out.empty()) {
-            bad_usage("--snapshot-in/--snapshot-out apply to --dir workers "
-                      "only");
-        }
-        std::string host;
-        int port = 0;
-        farm::parse_endpoint(connect, host, port);
-        farm::FarmWorkerOptions options;
-        options.worker = worker.worker_id.empty()
-                             ? "w" + std::to_string(::getpid())
-                             : worker.worker_id;
-        options.heartbeat_ms = heartbeat_ms;
-        options.poll_ms = poll_ms;
-        options.max_slots = max_slots;
-        options.exec = exec;
-        options.straggle_ms = worker.straggle_ms;
-        if (has_evaluator) options.evaluator = evaluator;
-        options.measure = measure;
-        if (has_optimizer) options.optimizer = optimizer;
-        const size_t executed = farm::run_farm_worker(host, port, options);
-        std::printf("worker %s drained farm %s: %zu slots run here\n",
-                    options.worker.c_str(), connect.c_str(), executed);
-        return 0;
+    // The daemon owns chunking and the merge; the worker is just the
+    // drain loop over a socket.
+    std::string host;
+    int port = 0;
+    farm::parse_endpoint(connect, host, port);
+    if (options.worker.empty()) {
+        options.worker = std::string("w").append(std::to_string(::getpid()));
     }
-
-    LeaseWorkSource source(dir, worker);
-    exec.flow_options = source.manifest().defaults;
-    // Per-worker execution knobs: results stay byte-identical across
-    // backends, so workers on one farm may mix evaluators freely.
-    if (has_evaluator) exec.flow_options.evaluator = evaluator;
-    if (measure) exec.flow_options.measure = true;
-    // The optimizer axis changes row bytes; a farm must agree on it (the
-    // merge refuses mismatched rows).
-    if (has_optimizer) exec.flow_options.solver.optimizer = optimizer;
-    SweepService service(exec);
-    if (!snapshot_in.empty()) {
-        const CacheSnapshot warm = load_cache_snapshot(snapshot_in);
-        preload_cache(service.driver().eval_cache(), warm);
-    }
-
-    const size_t executed = service.drain(source, max_slots);
-    const SweepCacheStats stats = service.driver().cache_stats();
-    std::printf("worker drained %s: %zu of %zu slots run here, %zu leases "
-                "stolen from stragglers (eval cache: %zu hits / %zu misses, "
-                "%zu entries)\n",
-                dir.c_str(), executed, source.total_slots(), source.steals(),
-                stats.eval_hits, stats.eval_misses, stats.eval_entries);
-    if (!snapshot_out.empty()) {
-        const CacheSnapshot snapshot =
-            snapshot_cache(service.driver().eval_cache());
-        write_file(snapshot_out, cache_snapshot_text(snapshot));
-        std::printf("snapshot: %zu entries -> %s\n", snapshot.entries.size(),
-                    snapshot_out.c_str());
-    }
+    const size_t executed = farm::run_farm_worker(host, port, options);
+    std::printf("worker %s drained farm %s: %zu slots run here\n",
+                options.worker.c_str(), connect.c_str(), executed);
     return 0;
 }
 
 int cmd_merge(Args args) {
-    std::string out_path, cache_out, lease_dir, connect, manifest_path;
+    std::string out_path, cache_out, connect, manifest_path;
     std::string rows_out;
     long long job = -1;
     std::vector<std::string> results_paths, cache_paths, splice_from;
@@ -663,8 +518,6 @@ int cmd_merge(Args args) {
             cache_paths.push_back(args.value(arg));
         } else if (arg == "--cache-out") {
             cache_out = args.value(arg);
-        } else if (arg == "--lease-dir") {
-            lease_dir = args.value(arg);
         } else if (arg == "--connect") {
             connect = args.value(arg);
         } else if (arg == "--job") {
@@ -746,12 +599,7 @@ int cmd_merge(Args args) {
     }
 
     if (out_path.empty()) bad_usage("merge needs --out");
-    if (lease_dir.empty() && results_paths.empty()) {
-        bad_usage("merge needs result files or --lease-dir");
-    }
-    if (!lease_dir.empty() && !results_paths.empty()) {
-        bad_usage("merge takes result files or --lease-dir, not both");
-    }
+    if (results_paths.empty()) bad_usage("merge needs result files");
     // Validate the cache pairing before any output is written: a usage
     // error after side effects would leave a half-done merge behind, and
     // --cache-out with no inputs would overwrite a warm snapshot with an
@@ -763,33 +611,20 @@ int cmd_merge(Args args) {
         bad_usage("--cache-out needs at least one --cache file");
     }
 
-    if (!lease_dir.empty()) {
-        // Elastic path: every published chunk rows file, with re-issued
-        // duplicates resolved (byte-identical rows deduplicate, anything
-        // else is still a conflict).
-        const std::string merged = collect_lease_results(lease_dir);
-        write_file(out_path, merged);
-        const LeaseDirStatus status = lease_dir_status(lease_dir);
-        std::printf("merged lease directory %s (%zu chunks, %zu re-issued) "
-                    "-> %s\n",
-                    lease_dir.c_str(), status.chunks, status.reissued,
-                    out_path.c_str());
-    } else {
-        std::vector<ShardResultsFile> shards;
-        shards.reserve(results_paths.size());
-        size_t hits = 0, misses = 0;
-        for (const std::string& path : results_paths) {
-            shards.push_back(load_shard_results(path));
-            hits += shards.back().eval_hits;
-            misses += shards.back().eval_misses;
-        }
-        const std::string merged = merge_shard_results(shards);
-        write_file(out_path, merged);
-        std::printf("merged %zu shards (%zu slots) -> %s (eval cache across "
-                    "shards: %zu hits / %zu misses)\n",
-                    shards.size(), shards.front().total_slots,
-                    out_path.c_str(), hits, misses);
+    std::vector<ShardResultsFile> shards;
+    shards.reserve(results_paths.size());
+    size_t hits = 0, misses = 0;
+    for (const std::string& path : results_paths) {
+        shards.push_back(load_shard_results(path));
+        hits += shards.back().eval_hits;
+        misses += shards.back().eval_misses;
     }
+    const std::string merged = merge_shard_results(shards);
+    write_file(out_path, merged);
+    std::printf("merged %zu shards (%zu slots) -> %s (eval cache across "
+                "shards: %zu hits / %zu misses)\n",
+                shards.size(), shards.front().total_slots, out_path.c_str(),
+                hits, misses);
 
     if (!cache_out.empty()) {
         std::vector<CacheSnapshot> snapshots;
@@ -945,7 +780,6 @@ int main(int argc, char** argv) {
     try {
         if (command == "plan") return cmd_plan(Args(argc, argv, 2));
         if (command == "run") return cmd_run(Args(argc, argv, 2));
-        if (command == "serve") return cmd_serve(Args(argc, argv, 2));
         if (command == "work") return cmd_work(Args(argc, argv, 2));
         if (command == "merge") return cmd_merge(Args(argc, argv, 2));
         if (command == "daemon") return cmd_daemon(Args(argc, argv, 2));
@@ -959,8 +793,8 @@ int main(int argc, char** argv) {
         // Same convention as targets::by_name: an unknown name lists
         // every valid spelling (sorted).
         bad_usage("unknown command `" + command +
-                  "`; known: daemon, merge, plan, run, serve, shutdown, "
-                  "status, submit, work");
+                  "`; known: daemon, merge, plan, run, shutdown, status, "
+                  "submit, work");
     } catch (const Error& e) {
         std::fprintf(stderr, "slpwlo-shard: %s\n", e.what());
         return 1;
