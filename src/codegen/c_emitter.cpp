@@ -21,9 +21,9 @@ std::string c_name(const Kernel& kernel, VarId var) {
     return out;
 }
 
-std::string c_loop_name(const Kernel& kernel, LoopId loop) {
+std::string c_identifier(const std::string& name) {
     std::string out;
-    for (const char c : kernel.loop(loop).var_name) {
+    for (const char c : name) {
         if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
             (c >= '0' && c <= '9') || c == '_') {
             out += c;
@@ -31,7 +31,12 @@ std::string c_loop_name(const Kernel& kernel, LoopId loop) {
             out += '_';
         }
     }
-    return out + std::to_string(loop.index());
+    return out;
+}
+
+std::string c_loop_name(const Kernel& kernel, LoopId loop) {
+    return c_identifier(kernel.loop(loop).var_name) +
+           std::to_string(loop.index());
 }
 
 std::string c_int_type(int wl) {
@@ -88,6 +93,53 @@ void CodeWriter::close(const std::string& tail) {
     SLPWLO_ASSERT(indent_ > 0, "unbalanced CodeWriter::close");
     indent_--;
     line(tail);
+}
+
+std::vector<std::string> c_array_params(
+    const Kernel& kernel, const std::function<std::string(ArrayId)>& type) {
+    std::vector<std::string> params;
+    for (size_t a = 0; a < kernel.arrays().size(); ++a) {
+        const ArrayDecl& decl = kernel.arrays()[a];
+        const bool input = decl.storage == StorageClass::Input;
+        if (!input && decl.storage != StorageClass::Output) continue;
+        params.push_back((input ? "const " : "") +
+                         type(ArrayId(static_cast<int32_t>(a))) + " " +
+                         decl.name + "[" + std::to_string(decl.size) + "]");
+    }
+    return params;
+}
+
+void c_declare_locals(CodeWriter& w, const Kernel& kernel,
+                      const std::vector<NodeRef>& def_nodes,
+                      const std::function<std::string(ArrayId)>& array_type,
+                      const std::function<std::string(NodeRef)>& var_type) {
+    for (size_t a = 0; a < kernel.arrays().size(); ++a) {
+        const ArrayDecl& decl = kernel.arrays()[a];
+        if (decl.storage != StorageClass::Buffer) continue;
+        w.line(array_type(ArrayId(static_cast<int32_t>(a))) + " " +
+               decl.name + "[" + std::to_string(decl.size) + "] = {0};");
+    }
+    for (size_t v = 0; v < kernel.vars().size(); ++v) {
+        if (!def_nodes[v].valid()) continue;
+        w.line(var_type(def_nodes[v]) + " " +
+               c_name(kernel, VarId(static_cast<int32_t>(v))) + " = 0;");
+    }
+}
+
+void c_emit_region(CodeWriter& w, const Kernel& kernel, const Region& region,
+                   const std::function<void(BlockId)>& emit_block) {
+    for (const RegionItem& item : region.items) {
+        if (item.kind == RegionItem::Kind::Block) {
+            emit_block(item.block);
+            continue;
+        }
+        const Loop& loop = kernel.loop(item.loop);
+        const std::string v = c_loop_name(kernel, loop.id);
+        w.open("for (int " + v + " = " + std::to_string(loop.begin) + "; " +
+               v + " < " + std::to_string(loop.end) + "; ++" + v + ")");
+        c_emit_region(w, kernel, loop.body, emit_block);
+        w.close();
+    }
 }
 
 }  // namespace slpwlo

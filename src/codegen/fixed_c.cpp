@@ -1,43 +1,48 @@
 #include "codegen/fixed_c.hpp"
 
-#include <cctype>
+#include <algorithm>
 
 #include "accuracy/noise_source.hpp"
 #include "codegen/c_emitter.hpp"
+#include "core/slp_aware_wlo.hpp"
+#include "lower/lowering.hpp"
 #include "support/diagnostics.hpp"
 #include "support/text.hpp"
 
 namespace slpwlo {
 namespace {
 
+/// The one fixed-point C printer. Without groups it emits the scalar
+/// program; with groups (emit_simd_c) it walks each grouped block in
+/// block_unit_order and turns every group into a vector macro sequence
+/// over slpwlo_simd_emu.h, while every other op stays the same scalar
+/// code — so the SIMD program shares the scalar one's quantizing shifts
+/// and saturation by construction.
 class FixedCEmitter {
 public:
     FixedCEmitter(const Kernel& kernel, const FixedPointSpec& spec,
-                  const FixedCOptions& options)
+                  const FixedCOptions& options,
+                  const std::vector<BlockGroups>* groups)
         : kernel_(kernel),
           spec_(spec),
           options_(options),
+          groups_(groups),
           def_nodes_(compute_var_def_nodes(kernel)) {}
 
     FixedCResult run() {
         FixedCResult result;
-        result.function_name = sanitize(kernel_.name()) + "_fixed";
+        result.function_name =
+            c_identifier(kernel_.name()) +
+            (groups_ != nullptr ? "_simd" : "_fixed");
         prologue(result.function_name);
-        emit_region(kernel_.body());
+        c_emit_region(w_, kernel_, kernel_.body(),
+                      [this](BlockId block) { emit_block(block); });
         w_.close();
         result.code = w_.str();
         return result;
     }
 
 private:
-    static std::string sanitize(const std::string& name) {
-        std::string out;
-        for (const char c : name) {
-            out += (std::isalnum(static_cast<unsigned char>(c)) != 0 ? c : '_');
-        }
-        return out;
-    }
-
     int fwl_of_var(VarId v) const {
         const NodeRef node = def_nodes_[static_cast<size_t>(v.index())];
         SLPWLO_ASSERT(node.valid(), "read of a never-defined variable");
@@ -84,9 +89,17 @@ private:
     }
 
     void prologue(const std::string& function_name) {
-        w_.line("/* generated by slpwlo: fixed-point implementation of `" +
-                kernel_.name() + "` */");
+        if (groups_ != nullptr) {
+            w_.line("/* generated by slpwlo: SIMD implementation of `" +
+                    kernel_.name() + "` over the abstract macro API */");
+        } else {
+            w_.line("/* generated by slpwlo: fixed-point implementation of `" +
+                    kernel_.name() + "` */");
+        }
         w_.line("#include <stdint.h>");
+        // The macros call the slpwlo_sat / slpwlo_shr defined below; they
+        // expand at their use sites in the body.
+        if (groups_ != nullptr) w_.line("#include \"slpwlo_simd_emu.h\"");
         w_.blank();
         if (options_.count_overflows) {
             // Saturation counts exactly once per dynamic clamping event,
@@ -139,60 +152,47 @@ private:
         w_.blank();
 
         // Signature: inputs const, outputs mutable, raw integer domain.
-        std::vector<std::string> params;
-        for (size_t a = 0; a < kernel_.arrays().size(); ++a) {
-            const ArrayDecl& decl = kernel_.arrays()[a];
-            const FixedFormat fmt =
-                spec_.array_format(ArrayId(static_cast<int32_t>(a)));
-            if (decl.storage == StorageClass::Input) {
-                params.push_back("const " + c_int_type(fmt.wl()) + " " +
-                                 decl.name + "[" + std::to_string(decl.size) +
-                                 "]");
-            } else if (decl.storage == StorageClass::Output) {
-                params.push_back(c_int_type(fmt.wl()) + " " + decl.name + "[" +
-                                 std::to_string(decl.size) + "]");
-            }
-        }
+        const auto array_type = [this](ArrayId array) {
+            return c_int_type(spec_.array_format(array).wl());
+        };
+        std::vector<std::string> params = c_array_params(kernel_, array_type);
         if (options_.record_trace) params.push_back("int64_t* slpwlo_trace");
         if (options_.count_overflows) params.push_back("long long* slpwlo_ovf");
         w_.open("void " + function_name + "(" + join(params, ", ") + ")");
 
-        // Scratch buffers (zero-initialized, as the simulator assumes).
-        for (size_t a = 0; a < kernel_.arrays().size(); ++a) {
-            const ArrayDecl& decl = kernel_.arrays()[a];
-            if (decl.storage != StorageClass::Buffer) continue;
-            const FixedFormat fmt =
-                spec_.array_format(ArrayId(static_cast<int32_t>(a)));
-            w_.line(c_int_type(fmt.wl()) + " " + decl.name + "[" +
-                    std::to_string(decl.size) + "] = {0};");
-        }
-
-        // Variable declarations (storage type from each node's WL).
-        for (size_t v = 0; v < kernel_.vars().size(); ++v) {
-            const NodeRef node = def_nodes_[v];
-            if (!node.valid()) continue;
-            w_.line(c_int_type(spec_.format(node).wl()) + " " +
-                    c_name(kernel_, VarId(static_cast<int32_t>(v))) + " = 0;");
+        // Storage type of scratch buffers and variables from each node's WL.
+        c_declare_locals(w_, kernel_, def_nodes_, array_type,
+                         [this](NodeRef node) {
+                             return c_int_type(spec_.format(node).wl());
+                         });
+        if (groups_ != nullptr) {
+            w_.line("slpwlo_vec va, vb, vr;");
+            w_.line("(void)va; (void)vb; (void)vr;");
         }
         w_.blank();
     }
 
-    void emit_region(const Region& region) {
-        for (const RegionItem& item : region.items) {
-            if (item.kind == RegionItem::Kind::Block) {
-                for (const OpId op : kernel_.block(item.block).ops) {
-                    emit_op(op);
-                }
+    void emit_block(BlockId block) {
+        const std::vector<SimdGroup>* groups = groups_of(block);
+        if (groups == nullptr) {
+            for (const OpId op : kernel_.block(block).ops) emit_op(op);
+            return;
+        }
+        for (const int unit : block_unit_order(kernel_, block, *groups)) {
+            if (unit >= 0) {
+                emit_op(kernel_.block(block).ops[static_cast<size_t>(unit)]);
             } else {
-                const Loop& loop = kernel_.loop(item.loop);
-                const std::string v = c_loop_name(kernel_, loop.id);
-                w_.open("for (int " + v + " = " + std::to_string(loop.begin) +
-                        "; " + v + " < " + std::to_string(loop.end) + "; ++" +
-                        v + ")");
-                emit_region(loop.body);
-                w_.close();
+                emit_group((*groups)[static_cast<size_t>(-unit - 1)]);
             }
         }
+    }
+
+    const std::vector<SimdGroup>* groups_of(BlockId block) const {
+        if (groups_ == nullptr) return nullptr;
+        for (const BlockGroups& bg : *groups_) {
+            if (bg.block == block) return &bg.groups;
+        }
+        return nullptr;
     }
 
     void emit_op(OpId op_id) {
@@ -284,9 +284,183 @@ private:
         }
     }
 
+    // --- groups ----------------------------------------------------------------
+
+    bool adjacent(const SimdGroup& group, bool* reversed) const {
+        bool fwd = true, rev = true;
+        for (size_t i = 1; i < group.lanes.size(); ++i) {
+            const auto d = kernel_.op(group.lanes[i])
+                               .index.constant_difference(
+                                   kernel_.op(group.lanes[i - 1]).index);
+            if (!d.has_value() || *d != 1) fwd = false;
+            if (!d.has_value() || *d != -1) rev = false;
+        }
+        *reversed = !fwd && rev;
+        return fwd || rev;
+    }
+
+    void emit_group(const SimdGroup& group) {
+        const Op& first = kernel_.op(group.lanes.front());
+        const int w = group.width();
+        const std::string n = std::to_string(w);
+        switch (first.kind) {
+            case OpKind::Load: {
+                bool reversed = false;
+                if (adjacent(group, &reversed)) {
+                    const Affine& start =
+                        kernel_
+                            .op(reversed ? group.lanes.back()
+                                         : group.lanes.front())
+                            .index;
+                    w_.line(std::string("SLPWLO_VLOAD") +
+                            (reversed ? "R" : "") + "(vr, " +
+                            kernel_.array(first.array).name + ", " +
+                            c_index(kernel_, start) + ", " + n + ");");
+                } else {
+                    for (int lane = 0; lane < w; ++lane) {
+                        const Op& lop = kernel_.op(group.lanes[lane]);
+                        w_.line("SLPWLO_VSET(vr, " + std::to_string(lane) +
+                                ", " + kernel_.array(lop.array).name + "[" +
+                                c_index(kernel_, lop.index) + "]);");
+                    }
+                }
+                extract_lanes(group, /*shift_amounts=*/{});
+                break;
+            }
+            case OpKind::Store: {
+                const FixedFormat fmt = spec_.array_format(first.array);
+                for (int lane = 0; lane < w; ++lane) {
+                    const Op& lop = kernel_.op(group.lanes[lane]);
+                    w_.line("SLPWLO_VSET(va, " + std::to_string(lane) + ", " +
+                            aligned(lop.args[0], fmt.fwl) + ");");
+                }
+                bool reversed = false;
+                if (adjacent(group, &reversed) && !reversed) {
+                    w_.line("SLPWLO_VSTORE(" +
+                            kernel_.array(first.array).name + ", " +
+                            c_index(kernel_, first.index) + ", va, " + n +
+                            ", " + std::to_string(fmt.wl()) + ");");
+                } else {
+                    for (int lane = 0; lane < w; ++lane) {
+                        const Op& lop = kernel_.op(group.lanes[lane]);
+                        w_.line(kernel_.array(lop.array).name + "[" +
+                                c_index(kernel_, lop.index) + "] = " +
+                                sat("SLPWLO_VGET(va, " +
+                                        std::to_string(lane) + ")",
+                                    fmt.wl()) +
+                                ";");
+                    }
+                }
+                break;
+            }
+            case OpKind::Add:
+            case OpKind::Sub: {
+                // Operands aligned per lane to the lane's result fwl.
+                for (int slot = 0; slot < first.num_args(); ++slot) {
+                    const std::string vreg = slot == 0 ? "va" : "vb";
+                    for (int lane = 0; lane < w; ++lane) {
+                        const Op& lop = kernel_.op(group.lanes[lane]);
+                        const int fr =
+                            spec_.result_format(group.lanes[lane]).fwl;
+                        w_.line("SLPWLO_VSET(" + vreg + ", " +
+                                std::to_string(lane) + ", " +
+                                aligned(lop.args[slot], fr) + ");");
+                    }
+                }
+                const char* macro = first.kind == OpKind::Add
+                                        ? "SLPWLO_VADD"
+                                        : "SLPWLO_VSUB";
+                w_.line(std::string(macro) + "(vr, va, vb, " + n + ");");
+                extract_lanes(group, {});
+                break;
+            }
+            case OpKind::Neg: {
+                // Negate at the operand's own precision, then scale at
+                // extraction: the alignment shift must see the *negated*
+                // value (see aligned_negated).
+                std::vector<int> amounts;
+                amounts.reserve(static_cast<size_t>(w));
+                bool any_shift = false;
+                for (int lane = 0; lane < w; ++lane) {
+                    const Op& lop = kernel_.op(group.lanes[lane]);
+                    w_.line("SLPWLO_VSET(va, " + std::to_string(lane) +
+                            ", (int64_t)" + c_name(kernel_, lop.args[0]) +
+                            ");");
+                    const int k =
+                        fwl_of_var(lop.args[0]) -
+                        spec_.result_format(group.lanes[lane]).fwl;
+                    if (k != 0) any_shift = true;
+                    amounts.push_back(k);
+                }
+                w_.line("SLPWLO_VNEG(vr, va, " + n + ");");
+                extract_lanes(group, any_shift ? amounts
+                                               : std::vector<int>{});
+                break;
+            }
+            case OpKind::Mul: {
+                for (int slot = 0; slot < 2; ++slot) {
+                    const std::string vreg = slot == 0 ? "va" : "vb";
+                    for (int lane = 0; lane < w; ++lane) {
+                        const Op& lop = kernel_.op(group.lanes[lane]);
+                        w_.line("SLPWLO_VSET(" + vreg + ", " +
+                                std::to_string(lane) + ", (int64_t)" +
+                                c_name(kernel_, lop.args[slot]) + ");");
+                    }
+                }
+                w_.line("SLPWLO_VMUL(vr, va, vb, " + n + ");");
+                // Per-lane product quantization down to the result format.
+                std::vector<int> amounts;
+                for (const OpId lane : group.lanes) {
+                    const Op& lop = kernel_.op(lane);
+                    amounts.push_back(fwl_of_var(lop.args[0]) +
+                                      fwl_of_var(lop.args[1]) -
+                                      spec_.result_format(lane).fwl);
+                }
+                const bool uniform = std::all_of(
+                    amounts.begin(), amounts.end(),
+                    [&](int a) { return a == amounts[0]; });
+                if (uniform && amounts[0] > 0) {
+                    w_.line("SLPWLO_VSHR(vr, vr, " +
+                            std::to_string(amounts[0]) + ", " + n + ");");
+                    extract_lanes(group, {});
+                } else {
+                    extract_lanes(group, amounts);
+                }
+                break;
+            }
+            default:
+                throw Error("SIMD emission for unsupported group kind");
+        }
+    }
+
+    /// Assign each lane back to its scalar variable, optionally shifting
+    /// per lane (non-uniform quantization), saturating to the lane format.
+    void extract_lanes(const SimdGroup& group,
+                       const std::vector<int>& shift_amounts) {
+        for (int lane = 0; lane < group.width(); ++lane) {
+            const Op& lop = kernel_.op(group.lanes[lane]);
+            if (!lop.dest.valid()) continue;
+            const FixedFormat fmt = spec_.result_format(group.lanes[lane]);
+            std::string expr =
+                "SLPWLO_VGET(vr, " + std::to_string(lane) + ")";
+            if (!shift_amounts.empty()) {
+                const int k = shift_amounts[static_cast<size_t>(lane)];
+                if (k > 0) {
+                    expr = "slpwlo_shr(" + expr + ", " + std::to_string(k) +
+                           ")";
+                } else if (k < 0) {
+                    expr = "(" + expr + " << " + std::to_string(-k) + ")";
+                }
+            }
+            w_.line(c_name(kernel_, lop.dest) + " = " + sat(expr, fmt.wl()) +
+                    ";");
+        }
+    }
+
     const Kernel& kernel_;
     const FixedPointSpec& spec_;
     FixedCOptions options_;
+    const std::vector<BlockGroups>* groups_;
     std::vector<NodeRef> def_nodes_;
     CodeWriter w_;
 };
@@ -308,13 +482,20 @@ bool spec_fits_c_domain(const FixedPointSpec& spec, std::string* why) {
     return true;
 }
 
-FixedCResult emit_fixed_c(const Kernel& kernel, const FixedPointSpec& spec,
-                          const FixedCOptions& options) {
+FixedCResult emit_fixed_point_c(const Kernel& kernel,
+                                const FixedPointSpec& spec,
+                                const FixedCOptions& options,
+                                const std::vector<BlockGroups>* groups) {
     std::string why;
     SLPWLO_CHECK(spec_fits_c_domain(spec, &why),
                  "cannot emit fixed-point C for `" + kernel.name() +
                      "`: " + why);
-    return FixedCEmitter(kernel, spec, options).run();
+    return FixedCEmitter(kernel, spec, options, groups).run();
+}
+
+FixedCResult emit_fixed_c(const Kernel& kernel, const FixedPointSpec& spec,
+                          const FixedCOptions& options) {
+    return emit_fixed_point_c(kernel, spec, options, nullptr);
 }
 
 FixedCResult emit_fixed_c(const Kernel& kernel, const FixedPointSpec& spec) {

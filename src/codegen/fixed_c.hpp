@@ -1,11 +1,18 @@
-// Fixed-point C code generation (the "Fixed-point C Back-End" of Fig. 3/5).
+// Fixed-point C code generation (the "Fixed-point / SIMD C Back-End" of
+// Fig. 3/5).
 //
 // Emits a self-contained C99 translation unit implementing the kernel under
 // a fixed-point specification: integer arrays and variables in each node's
-// storage type, explicit arithmetic-shift scalings for operand alignment
-// and product quantization, and saturation to each node's range —
-// bit-exact with the run_fixed simulator (integration-tested by compiling
-// and running the emitted code against it).
+// storage type, explicit scalings for operand alignment and product
+// quantization (slpwlo_shr: floor under truncation, half-up rounding under
+// round-to-nearest), and saturation to each node's range — bit-exact with
+// the run_fixed simulator in both quantization modes (integration-tested
+// by compiling and running the emitted code against it).
+//
+// This is the one fixed-point C emitter: emit_simd_c (simd_c.hpp) is the
+// same emitter with the selected SIMD groups printed as vector macros, so
+// both entry points share the prologue, the scalar ops and the
+// spec_fits_c_domain refusal.
 //
 // Interface of the generated function:
 //   void <kernel>_fixed(const T_in* x_raw, T_out* y_raw);

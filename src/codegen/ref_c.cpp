@@ -1,6 +1,5 @@
 #include "codegen/ref_c.hpp"
 
-#include <cctype>
 #include <cstdio>
 
 #include "accuracy/noise_source.hpp"
@@ -25,23 +24,17 @@ public:
 
     RefCResult run() {
         RefCResult result;
-        result.function_name = sanitize(kernel_.name()) + "_ref";
+        result.function_name = c_identifier(kernel_.name()) + "_ref";
         prologue(result.function_name);
-        emit_region(kernel_.body());
+        c_emit_region(w_, kernel_, kernel_.body(), [this](BlockId block) {
+            for (const OpId op : kernel_.block(block).ops) emit_op(op);
+        });
         w_.close();
         result.code = w_.str();
         return result;
     }
 
 private:
-    static std::string sanitize(const std::string& name) {
-        std::string out;
-        for (const char c : name) {
-            out += (std::isalnum(static_cast<unsigned char>(c)) != 0 ? c : '_');
-        }
-        return out;
-    }
-
     /// Param arrays are file-scope statics; prefix them so the reference
     /// body can share a translation unit with the fixed-point body (whose
     /// statics keep the plain names).
@@ -71,51 +64,12 @@ private:
         }
         w_.blank();
 
-        std::vector<std::string> params;
-        for (size_t a = 0; a < kernel_.arrays().size(); ++a) {
-            const ArrayDecl& decl = kernel_.arrays()[a];
-            if (decl.storage == StorageClass::Input) {
-                params.push_back("const double " + decl.name + "[" +
-                                 std::to_string(decl.size) + "]");
-            } else if (decl.storage == StorageClass::Output) {
-                params.push_back("double " + decl.name + "[" +
-                                 std::to_string(decl.size) + "]");
-            }
-        }
+        const auto type = [](auto) { return std::string("double"); };
+        std::vector<std::string> params = c_array_params(kernel_, type);
         params.push_back("double* slpwlo_trace");
         w_.open("void " + function_name + "(" + join(params, ", ") + ")");
-
-        for (size_t a = 0; a < kernel_.arrays().size(); ++a) {
-            const ArrayDecl& decl = kernel_.arrays()[a];
-            if (decl.storage != StorageClass::Buffer) continue;
-            w_.line("double " + decl.name + "[" + std::to_string(decl.size) +
-                    "] = {0};");
-        }
-        for (size_t v = 0; v < kernel_.vars().size(); ++v) {
-            if (!def_nodes_[v].valid()) continue;
-            w_.line("double " +
-                    c_name(kernel_, VarId(static_cast<int32_t>(v))) +
-                    " = 0;");
-        }
+        c_declare_locals(w_, kernel_, def_nodes_, type, type);
         w_.blank();
-    }
-
-    void emit_region(const Region& region) {
-        for (const RegionItem& item : region.items) {
-            if (item.kind == RegionItem::Kind::Block) {
-                for (const OpId op : kernel_.block(item.block).ops) {
-                    emit_op(op);
-                }
-            } else {
-                const Loop& loop = kernel_.loop(item.loop);
-                const std::string v = c_loop_name(kernel_, loop.id);
-                w_.open("for (int " + v + " = " + std::to_string(loop.begin) +
-                        "; " + v + " < " + std::to_string(loop.end) + "; ++" +
-                        v + ")");
-                emit_region(loop.body);
-                w_.close();
-            }
-        }
     }
 
     void emit_op(OpId op_id) {

@@ -73,4 +73,9 @@ std::string jit_obtain(const JitKey& key, const std::string& c_source,
 /// directory is not an error (returns 0).
 int jit_cleanup_stale(const std::string& dir, long long age_ms);
 
+/// Age past which a `.tmp.` entry cannot belong to a running build (one
+/// compile takes seconds). Farm workers and the farm daemon sweep the
+/// active cache directory with it once at start-up.
+inline constexpr long long kJitStaleTempAgeMs = 60LL * 60 * 1000;
+
 }  // namespace slpwlo::exec

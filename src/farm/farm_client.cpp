@@ -10,6 +10,7 @@
 
 #include "dist/shard_merger.hpp"
 #include "dist/shard_runner.hpp"
+#include "exec/jit_cache.hpp"
 #include "support/diagnostics.hpp"
 
 namespace slpwlo::farm {
@@ -223,6 +224,10 @@ void SocketWorkSource::abandon(const Lease& lease) {
 size_t run_farm_worker(const std::string& host, int port,
                        const FarmWorkerOptions& options) {
     SLPWLO_CHECK(!options.worker.empty(), "farm: worker id must not be empty");
+    // Workers share the JIT directory: drop the temp files of builders
+    // that were SIGKILLed mid-compile.
+    exec::jit_cleanup_stale(exec::jit_cache_directory(),
+                            exec::kJitStaleTempAgeMs);
     FarmClient client(host, port);
 
     Message hello;

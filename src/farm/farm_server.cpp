@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "exec/jit_cache.hpp"
 #include "farm/framing.hpp"
 #include "support/diagnostics.hpp"
 
@@ -84,6 +85,10 @@ FarmServer::FarmServer(const ServerOptions& options)
                  std::string("farm: getsockname failed: ") +
                      std::strerror(errno));
     port_ = ntohs(bound.sin_port);
+    // Workers on this host share the JIT directory: drop the temp files of
+    // builders that were SIGKILLed mid-compile.
+    exec::jit_cleanup_stale(exec::jit_cache_directory(),
+                            exec::kJitStaleTempAgeMs);
 }
 
 FarmServer::~FarmServer() {

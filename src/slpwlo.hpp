@@ -17,6 +17,11 @@
 //   FlowResult r = run_wlo_slp_flow(context, targets::xentium(), options);
 //   std::cout << summarize(r) << "\n"
 //             << emit_simd_c(context.kernel(), r.spec, r.groups).code;
+//
+// emit_simd_c prints the fixed-point program of emit_fixed_c(context.kernel(),
+// r.spec) with r.groups as vector macros over slpwlo_simd_emu.h
+// (simd_emulation_header()); both are bit-exact with run_fixed in either
+// quantization mode.
 #pragma once
 
 #include "codegen/fixed_c.hpp"

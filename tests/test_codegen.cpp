@@ -1,16 +1,20 @@
 // Code-generation tests: structural checks on the emitted C, plus the
 // compile-and-run integration test — the generated fixed-point and SIMD C
-// must be bit-exact with the bit-accurate simulator (host compiler
-// required; skipped if none is available).
+// must be bit-exact with the bit-accurate simulator under both truncation
+// and round-to-nearest (host compiler required; skipped if none is
+// available).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <optional>
 
 #include "codegen/fixed_c.hpp"
 #include "codegen/simd_c.hpp"
 #include "flow/flow.hpp"
+#include "kernels/kernels.hpp"
 #include "sim/fixed_sim.hpp"
 #include "support/dbmath.hpp"
 #include "support/text.hpp"
@@ -79,17 +83,64 @@ TEST(SimdC, EmulationHeaderAndMappingNotes) {
     EXPECT_TRUE(contains(notes, "32 bits"));
 }
 
-/// Compile-and-run equivalence: generated code vs bit-accurate simulator.
-class CodegenRoundTrip : public ::testing::Test {
+/// One compile-and-run point: a registry kernel run through the WLO-SLP
+/// flow on a target under a quantization mode.
+struct RoundTripCase {
+    std::string kernel;
+    std::string target;
+    QuantMode mode;
+};
+
+std::string case_name(const RoundTripCase& c) {
+    return c.kernel + "_" + c.target + "_" +
+           (c.mode == QuantMode::Round ? "Round" : "Truncate");
+}
+
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << case_name(c); }
+
+std::string round_trip_name(
+    const ::testing::TestParamInfo<RoundTripCase>& info) {
+    return case_name(info.param);
+}
+
+/// Compile-and-run equivalence: generated code vs bit-accurate simulator,
+/// for both entry points of the fixed-point emitter.
+class CodegenRoundTrip : public ::testing::TestWithParam<RoundTripCase> {
 protected:
-    /// Writes a main() that feeds raw inputs, runs the generated function
-    /// and prints outputs; returns the printed raw outputs.
-    std::vector<long long> compile_and_run(const std::string& code,
-                                           const std::string& fn,
-                                           const Kernel& kernel,
-                                           const FixedPointSpec& spec,
-                                           const Stimulus& stimulus,
+    void SetUp() override {
+        if (!host_cc_available()) GTEST_SKIP() << "no host C compiler";
+        const RoundTripCase& c = GetParam();
+        auto bench = kernels::make_benchmark_kernel(c.kernel);
+        context_ = std::make_unique<KernelContext>(std::move(bench.kernel),
+                                                   bench.range_options);
+        FlowOptions options;
+        options.accuracy_db = -40.0;
+        options.quant_mode = c.mode;
+        flow_ = run_wlo_slp_flow(*context_, targets::by_name(c.target),
+                                 options);
+        stimulus_ = make_stimulus(kernel(), 0xC0DE);
+    }
+
+    const Kernel& kernel() const { return context_->kernel(); }
+
+    /// The kernel's single Output array.
+    ArrayId output_array() const {
+        ArrayId out_id;
+        for (size_t a = 0; a < kernel().arrays().size(); ++a) {
+            if (kernel().arrays()[a].storage == StorageClass::Output) {
+                EXPECT_FALSE(out_id.valid()) << "driver prints one output";
+                out_id = ArrayId(static_cast<int32_t>(a));
+            }
+        }
+        return out_id;
+    }
+
+    /// Writes a main() that feeds every Input array its raw stimulus, runs
+    /// the generated function and prints the Output array; returns the
+    /// printed raw outputs.
+    std::vector<long long> compile_and_run(const FixedCResult& gen,
                                            const std::string& tag) {
+        const FixedPointSpec& spec = flow_->spec;
         const std::string dir = ::testing::TempDir() + "slpwlo_" + tag;
         std::system(("mkdir -p " + dir).c_str());
         {
@@ -97,36 +148,35 @@ protected:
             emu << simd_emulation_header();
         }
         std::ofstream src(dir + "/gen.c");
-        src << code << "\n#include <stdio.h>\n";
-        // Driver.
-        const ArrayDecl& in = kernel.arrays()[0];
-        const FixedFormat in_fmt = spec.array_format(ArrayId(0));
+        src << gen.code << "\n#include <stdio.h>\n";
         src << "int main(void) {\n";
-        src << "  static " << (in_fmt.wl() <= 8    ? "int8_t"
-                               : in_fmt.wl() <= 16 ? "int16_t"
-                                                   : "int32_t")
-            << " in[" << in.size << "] = {";
-        for (int i = 0; i < in.size; ++i) {
-            src << raw_fixed_value(stimulus[0][static_cast<size_t>(i)],
-                                   in_fmt, spec.quant_mode())
-                << (i + 1 < in.size ? "," : "");
-        }
-        src << "};\n";
-        ArrayId out_id;
-        for (size_t a = 0; a < kernel.arrays().size(); ++a) {
-            if (kernel.arrays()[a].storage == StorageClass::Output) {
-                out_id = ArrayId(static_cast<int32_t>(a));
+        std::vector<std::string> args;
+        for (size_t a = 0; a < kernel().arrays().size(); ++a) {
+            const ArrayDecl& decl = kernel().arrays()[a];
+            if (decl.storage != StorageClass::Input &&
+                decl.storage != StorageClass::Output) {
+                continue;
             }
+            const FixedFormat fmt =
+                spec.array_format(ArrayId(static_cast<int32_t>(a)));
+            src << "  static " << c_int_type(fmt.wl()) << " " << decl.name
+                << "[" << decl.size << "] = {";
+            for (int i = 0; decl.storage == StorageClass::Input &&
+                            i < decl.size;
+                 ++i) {
+                src << raw_fixed_value(stimulus_[a][static_cast<size_t>(i)],
+                                       fmt, spec.quant_mode())
+                    << (i + 1 < decl.size ? "," : "");
+            }
+            src << "};\n";
+            args.push_back(decl.name);
         }
-        const ArrayDecl& out = kernel.array(out_id);
-        const FixedFormat out_fmt = spec.array_format(out_id);
-        src << "  static " << (out_fmt.wl() <= 8    ? "int8_t"
-                               : out_fmt.wl() <= 16 ? "int16_t"
-                                                    : "int32_t")
-            << " out[" << out.size << "] = {0};\n";
-        src << "  " << fn << "(in, out);\n";
+        const ArrayDecl& out = kernel().array(output_array());
+        src << "  " << gen.function_name << "(" << join(args, ", ")
+            << ");\n";
         src << "  for (int i = 0; i < " << out.size
-            << "; ++i) printf(\"%lld\\n\", (long long)out[i]);\n";
+            << "; ++i) printf(\"%lld\\n\", (long long)" << out.name
+            << "[i]);\n";
         src << "  return 0;\n}\n";
         src.close();
 
@@ -144,18 +194,10 @@ protected:
         return values;
     }
 
-    void expect_matches_simulator(const Kernel& kernel,
-                                  const FixedPointSpec& spec,
-                                  const std::vector<long long>& raw_outputs) {
-        const Stimulus stimulus = make_stimulus(kernel, 0xC0DE);
-        const FixedSimResult sim = run_fixed(kernel, spec, stimulus);
-        ArrayId out_id;
-        for (size_t a = 0; a < kernel.arrays().size(); ++a) {
-            if (kernel.arrays()[a].storage == StorageClass::Output) {
-                out_id = ArrayId(static_cast<int32_t>(a));
-            }
-        }
-        const double step = spec.array_format(out_id).step();
+    void expect_matches_simulator(const std::vector<long long>& raw_outputs) {
+        const FixedSimResult sim =
+            run_fixed(kernel(), flow_->spec, stimulus_);
+        const double step = flow_->spec.array_format(output_array()).step();
         // The driver prints the whole output array; kernels that shift
         // their writes (IIR warm-up region) leave a zero prefix.
         ASSERT_GE(raw_outputs.size(), sim.outputs.size());
@@ -169,48 +211,42 @@ protected:
             EXPECT_EQ(raw_outputs[i + offset], expected) << "output " << i;
         }
     }
+
+    std::unique_ptr<KernelContext> context_;
+    std::optional<FlowResult> flow_;
+    Stimulus stimulus_;
 };
 
-TEST_F(CodegenRoundTrip, FixedCMatchesSimulatorBitExactly) {
-    if (!host_cc_available()) GTEST_SKIP() << "no host C compiler";
-    const Kernel& k = small_fir();
-    FixedPointSpec spec = initial_spec(k);
-    set_uniform_wl(spec, 16);
-    const Stimulus stimulus = make_stimulus(k, 0xC0DE);
-    const FixedCResult gen = emit_fixed_c(k, spec);
-    const auto raw = compile_and_run(gen.code, gen.function_name, k, spec,
-                                     stimulus, "fixed");
-    expect_matches_simulator(k, spec, raw);
+TEST_P(CodegenRoundTrip, FixedCMatchesSimulatorBitExactly) {
+    const FixedCResult gen = emit_fixed_c(kernel(), flow_->spec);
+    expect_matches_simulator(
+        compile_and_run(gen, "fixed_" + case_name(GetParam())));
 }
 
-TEST_F(CodegenRoundTrip, SimdCMatchesSimulatorBitExactly) {
-    if (!host_cc_available()) GTEST_SKIP() << "no host C compiler";
-    const KernelContext ctx(small_fir());
-    FlowOptions options;
-    options.accuracy_db = -30.0;
-    const FlowResult flow = run_wlo_slp_flow(ctx, targets::vex4(), options);
-    const Stimulus stimulus = make_stimulus(ctx.kernel(), 0xC0DE);
+TEST_P(CodegenRoundTrip, SimdCMatchesSimulatorBitExactly) {
+    ASSERT_FALSE(flow_->groups.empty()) << "the flow selected no groups";
     const FixedCResult gen =
-        emit_simd_c(ctx.kernel(), flow.spec, flow.groups);
-    const auto raw = compile_and_run(gen.code, gen.function_name,
-                                     ctx.kernel(), flow.spec, stimulus,
-                                     "simd");
-    expect_matches_simulator(ctx.kernel(), flow.spec, raw);
+        emit_simd_c(kernel(), flow_->spec, flow_->groups);
+    EXPECT_TRUE(contains(gen.code, "SLPWLO_V"));
+    expect_matches_simulator(
+        compile_and_run(gen, "simd_" + case_name(GetParam())));
 }
 
-TEST_F(CodegenRoundTrip, IirFixedCMatches) {
-    if (!host_cc_available()) GTEST_SKIP() << "no host C compiler";
-    const Kernel& k = ::slpwlo::testing::small_iir();
-    RangeOptions range;
-    range.method = RangeMethod::Auto;
-    FixedPointSpec spec = build_initial_spec(k, range);
-    set_uniform_wl(spec, 16);
-    const Stimulus stimulus = make_stimulus(k, 0xC0DE);
-    const FixedCResult gen = emit_fixed_c(k, spec);
-    const auto raw = compile_and_run(gen.code, gen.function_name, k, spec,
-                                     stimulus, "iir");
-    expect_matches_simulator(k, spec, raw);
+std::vector<RoundTripCase> round_trip_cases() {
+    std::vector<RoundTripCase> cases;
+    for (const char* kernel : {"FIR", "IIR", "CONV", "DOT"}) {
+        for (const QuantMode mode : {QuantMode::Truncate, QuantMode::Round}) {
+            for (const char* target : {"XENTIUM", "NEON128"}) {
+                cases.push_back({kernel, target, mode});
+            }
+        }
+    }
+    return cases;
 }
+
+INSTANTIATE_TEST_SUITE_P(RegistryKernels, CodegenRoundTrip,
+                         ::testing::ValuesIn(round_trip_cases()),
+                         round_trip_name);
 
 }  // namespace
 }  // namespace slpwlo

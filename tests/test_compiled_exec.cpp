@@ -24,6 +24,7 @@
 #include "accuracy/sim_evaluator.hpp"
 #include "codegen/fixed_c.hpp"
 #include "codegen/ref_c.hpp"
+#include "codegen/simd_c.hpp"
 #include "exec/compiled_evaluator.hpp"
 #include "exec/compiled_kernel.hpp"
 #include "exec/jit_cache.hpp"
@@ -446,6 +447,41 @@ TEST(CompiledExec, StaleTempFilesAreSweptByAgeOnly) {
     EXPECT_EQ(exec::jit_cleanup_stale("/nonexistent-dir", 1), 0);
 }
 
+TEST(CompiledExec, JitTagPinsTheEmittedSource) {
+    // jit_key_hash keys objects by kernel, formats, mode and compiler —
+    // not by the C source — so the `slpwlo-jit-vN` tag in jit_cache.cpp is
+    // the only thing that retires objects built by an older emitter.
+    // Bump `slpwlo-jit-vN` when this moves, then re-pin these hashes:
+    // otherwise a shared $SLPWLO_JIT_DIR keeps serving stale objects.
+    struct Pin {
+        const char* kernel;
+        QuantMode mode;
+        uint64_t source_hash;
+    };
+    const Pin pins[] = {
+        {"FIR", QuantMode::Truncate, 0x374493f0762298f3ULL},
+        {"FIR", QuantMode::Round, 0x30eed179415e5368ULL},
+        {"IIR", QuantMode::Truncate, 0x98249c6651e75128ULL},
+        {"IIR", QuantMode::Round, 0x48de8f9678e9f9a7ULL},
+        {"CONV", QuantMode::Truncate, 0x5ca86ff79028ed72ULL},
+        {"CONV", QuantMode::Round, 0xe6297315e6aee43dULL},
+        {"DOT", QuantMode::Truncate, 0x84151e870bd062aaULL},
+        {"DOT", QuantMode::Round, 0x27228b8363eb911bULL},
+    };
+    FixedCOptions options;
+    options.count_overflows = true;
+    options.record_trace = true;
+    for (const Pin& pin : pins) {
+        const kernels::BenchmarkKernel bk =
+            kernels::make_benchmark_kernel(pin.kernel);
+        const FixedPointSpec spec = preset_spec(bk.kernel, 12, pin.mode);
+        const std::string code = emit_fixed_c(bk.kernel, spec, options).code;
+        EXPECT_EQ(hash_name(code), pin.source_hash)
+            << pin.kernel << " " << to_string(pin.mode) << ": 0x" << std::hex
+            << hash_name(code);
+    }
+}
+
 TEST(CompiledExec, EvaluatorDegradesToTapeWhenBuildFails) {
     // An unusable cache directory makes every build fail, which must leave
     // the evaluator bit-identical to the tape backend instead of throwing.
@@ -477,6 +513,7 @@ TEST(CompiledExec, DegenerateFormatsDegradeToTapeBitIdentically) {
     EXPECT_EQ(exec::CompiledKernel::create(kernel, spec, &why), nullptr);
     EXPECT_NE(why.find("raw integer domain"), std::string::npos) << why;
     EXPECT_THROW(emit_fixed_c(kernel, spec), Error);
+    EXPECT_THROW(emit_simd_c(kernel, spec, {}), Error);
 
     const exec::CompiledEvaluator compiled_eval(kernel);
     const SimulationEvaluator sim_eval(kernel);

@@ -1,7 +1,8 @@
 // FarmService: wire framing edge cases, the JobBoard state machine at
 // ttl 0 (explicit clocks, no sleeps), incremental-re-sweep splicing, and
 // socket end-to-end runs whose reports must be byte-identical to the
-// 1-process sweep — including with a worker that dies mid-`complete`.
+// 1-process sweep — including with a worker that dies mid-`complete` —
+// and the start-up sweep of orphaned JIT temp files.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -10,6 +11,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "dist/shard_manifest.hpp"
 #include "dist/shard_merger.hpp"
 #include "dist/shard_plan.hpp"
+#include "exec/jit_cache.hpp"
 #include "farm/farm_client.hpp"
 #include "farm/farm_server.hpp"
 #include "farm/framing.hpp"
@@ -475,7 +479,31 @@ TEST_F(FarmE2E, FarmSweepIsByteIdenticalToSingleProcess) {
     SweepDriver reference(options);
     const std::string reference_json = sweep_to_json(reference.run(grid));
 
+    // Daemon and worker start-up sweep orphaned `.tmp.` builds out of the
+    // active JIT directory by age; a young temp may be a running build.
+    namespace fs = std::filesystem;
+    const fs::path jit_scratch = fs::path(::testing::TempDir()) /
+                                 ("slpwlo-farm-jit-" +
+                                  std::to_string(::getpid()));
+    exec::set_jit_cache_directory(jit_scratch.string());
+    const fs::path jit_dir = exec::jit_cache_directory();
+    fs::create_directories(jit_dir);
+    const auto plant = [&](const std::string& name, bool old) {
+        const fs::path path = jit_dir / name;
+        std::ofstream(path) << "x";
+        if (old) {
+            fs::last_write_time(path, fs::file_time_type::clock::now() -
+                                          std::chrono::hours(2));
+        }
+        return path;
+    };
+    const fs::path fresh = plant("live.so.tmp.1000.0", false);
+    const fs::path orphan_at_daemon = plant("dead.so.tmp.999.0", true);
+
     start(/*ttl_ms=*/10000);
+    EXPECT_FALSE(fs::exists(orphan_at_daemon));
+    EXPECT_TRUE(fs::exists(fresh));
+    const fs::path orphan_at_worker = plant("dead.so.tmp.999.1", true);
     const size_t job = submit_over_wire(whole_grid_manifest(grid), 1);
 
     // Two workers race for the two single-slot chunks.
@@ -493,6 +521,12 @@ TEST_F(FarmE2E, FarmSweepIsByteIdenticalToSingleProcess) {
         });
     }
     for (std::thread& t : workers) t.join();
+    EXPECT_FALSE(fs::exists(orphan_at_worker));
+    EXPECT_TRUE(fs::exists(fresh));
+    std::error_code ec;
+    fs::remove(fresh, ec);
+    exec::set_jit_cache_directory("");
+    fs::remove_all(jit_scratch, ec);
 
     EXPECT_EQ(ran[0] + ran[1], grid.size())
         << "the workers together executed the whole grid";
