@@ -1,7 +1,8 @@
 // Hot-path performance harness: delta evaluation, the compiled
-// simulation tape, noise-gain calibration and SLP candidate selection.
+// simulation tape, noise-gain calibration, SLP candidate selection and
+// accuracy conflicts.
 //
-// Eight measurements, each paired with a bit-identity or exact-count check
+// Nine measurements, each paired with a bit-identity or exact-count check
 // so a speedup can never come from computing something different:
 //
 //   1. Tabu move evaluation — incremental sessions (EvalSession +
@@ -38,12 +39,19 @@
 //      exact build/hit counts and every object loading. Skipped (reported
 //      as available:false) without a usable host compiler or when
 //      $SLPWLO_JIT_DIR pins the cache directory.
+//   9. Accuracy conflicts — Fig. 1c lines 6-25 (candidate validity and
+//      accuracy conflicts) through AccuracyConflicts' footprint screen
+//      against the pairwise probe (tests/conflict_reference.hpp) on every
+//      WLO-SLP extraction round of stencil2d, stencil1d, CONV and FIR;
+//      pair counts by how the screen decided them; gated on identical
+//      conflict sets.
 //
 // Emits a JSON report (--json / --json=FILE). Exits non-zero when any
 // bit-identity check fails — walker/tape divergence, delta/full
 // divergence, compiled/tape divergence, sparse/dense calibration
-// divergence, indexed/pool-scan selection divergence or an inexact JIT
-// build count is a correctness bug, not a performance result.
+// divergence, indexed/pool-scan selection divergence, screened/probed
+// conflict divergence or an inexact JIT build count is a correctness bug,
+// not a performance result.
 #include <unistd.h>
 
 #include <algorithm>
@@ -62,6 +70,8 @@
 #include "accuracy/analytic_evaluator.hpp"
 #include "accuracy/sim_evaluator.hpp"
 #include "bench_util.hpp"
+#include "conflict_reference.hpp"
+#include "core/accuracy_conflicts.hpp"
 #include "core/wl_cost_model.hpp"
 #include "dist/cache_snapshot.hpp"
 #include "exec/compiled_evaluator.hpp"
@@ -708,6 +718,153 @@ SelectionReport bench_selection(
     return report;
 }
 
+struct ConflictKernelReport {
+    std::string kernel;
+    int rounds = 0;
+    long long pairs = 0;  ///< structurally compatible pairs per pass
+    double probe_ms = 0.0;
+    double screen_ms = 0.0;
+    double speedup = 0.0;
+    ConflictScreenCounts decided;  ///< one screen pass
+    bool bit_identical = true;
+};
+
+struct ConflictReport {
+    double accuracy_db = 0.0;
+    std::vector<ConflictKernelReport> kernels;
+    bool bit_identical = true;
+};
+
+/// One WLO-SLP extraction round as the reference flow met it: the view and
+/// spec at the round's base, every extracted candidate, and the conflicts
+/// of the valid ones.
+struct ConflictRound {
+    PackedView view;
+    FixedPointSpec spec;
+    std::vector<Candidate> candidates;
+    ConflictSet structural;
+};
+
+std::vector<ConflictRound> conflict_rounds(const Kernel& kernel,
+                                           const AccuracyEvaluator& evaluator,
+                                           const TargetModel& target,
+                                           double accuracy_db) {
+    std::vector<ConflictRound> rounds;
+    FixedPointSpec spec = build_initial_spec(kernel);
+    const PackedView* view = nullptr;
+    const FixedPointSpec* live = nullptr;
+    std::vector<Candidate> extracted;
+    reference::ConflictWatch watch;
+    watch.extraction_begin = [&](const PackedView& v, FixedPointSpec& s) {
+        view = &v;
+        live = &s;
+    };
+    watch.round_begin = [&] { extracted.clear(); };
+    watch.validity = [&](const Candidate& c, bool) { extracted.push_back(c); };
+    watch.conflicts = [&](const std::vector<Candidate>&,
+                          const ConflictSet& structural, const ConflictSet&) {
+        FixedPointSpec base(kernel);
+        base.set_quant_mode(live->quant_mode());
+        for (const NodeRef node : live->nodes()) {
+            base.set_format(node, live->format(node));
+        }
+        rounds.push_back(ConflictRound{*view, std::move(base), extracted,
+                                       structural});
+    };
+    WloSlpOptions options;
+    options.accuracy_db = accuracy_db;
+    reference::run_slp_aware_wlo(kernel, spec, evaluator, target, options,
+                                 watch);
+    return rounds;
+}
+
+/// Per-kernel Fig. 1c lines 6-25 on XENTIUM: the pairwise probe against
+/// the footprint screen over all of the kernel's rounds, best of `repeats`
+/// interleaved runs each, conflict sets compared.
+ConflictReport bench_conflicts(
+    const std::vector<std::pair<std::string, Kernel>>& kernels,
+    double accuracy_db, int repeats) {
+    ConflictReport report;
+    report.accuracy_db = accuracy_db;
+    const TargetModel target = targets::xentium();
+    for (const auto& [name, kernel] : kernels) {
+        const AnalyticEvaluator evaluator(kernel);
+        std::vector<ConflictRound> rounds =
+            conflict_rounds(kernel, evaluator, target, accuracy_db);
+        ConflictKernelReport kr;
+        kr.kernel = name;
+        kr.rounds = static_cast<int>(rounds.size());
+        for (const ConflictRound& round : rounds) {
+            const size_t n = round.structural.size();
+            kr.pairs += static_cast<long long>(n * (n - 1) / 2 -
+                                               round.structural.pair_count());
+        }
+        kr.probe_ms = kr.screen_ms = std::numeric_limits<double>::infinity();
+        for (int r = 0; r < repeats; ++r) {
+            std::vector<ConflictSet> probed, screened;
+            double probe_s = 0.0;
+            double screen_s = 0.0;
+            ConflictScreenCounts decided;
+            for (ConflictRound& round : rounds) {
+                const std::unique_ptr<EvalSession> eval =
+                    evaluator.open_session(round.spec);
+                auto start = std::chrono::steady_clock::now();
+                std::vector<Candidate> valid;
+                for (const Candidate& c : round.candidates) {
+                    const auto cp = round.spec.checkpoint();
+                    const std::vector<OpId> lanes = fused_lanes(round.view, c);
+                    set_group_max_wl(round.spec, lanes,
+                                     static_cast<int>(lanes.size()), target);
+                    const bool ok = !eval->violates(accuracy_db);
+                    round.spec.revert(cp);
+                    if (ok) valid.push_back(c);
+                }
+                ConflictSet set = round.structural;
+                reference::add_probed_conflicts(round.view, round.spec, *eval,
+                                                target, accuracy_db, valid,
+                                                set);
+                probe_s += seconds_since(start);
+                probed.push_back(std::move(set));
+
+                AccuracyConflicts screen(round.view, round.spec, *eval,
+                                         target, accuracy_db);
+                start = std::chrono::steady_clock::now();
+                screen.begin_round();
+                std::vector<Candidate> accepted;
+                for (const Candidate& c : round.candidates) {
+                    if (screen.valid(c)) accepted.push_back(c);
+                }
+                set = round.structural;
+                if (accepted == valid) screen.add_conflicts(accepted, set);
+                screen_s += seconds_since(start);
+                if (accepted != valid) kr.bit_identical = false;
+                screened.push_back(std::move(set));
+                decided.disjoint += screen.counts().disjoint;
+                decided.corrected += screen.counts().corrected;
+                decided.probed += screen.counts().probed;
+            }
+            kr.probe_ms = std::min(kr.probe_ms, probe_s * 1000.0);
+            kr.screen_ms = std::min(kr.screen_ms, screen_s * 1000.0);
+            kr.decided = decided;
+            for (size_t i = 0; i < rounds.size(); ++i) {
+                const size_t n = rounds[i].structural.size();
+                for (size_t a = 0; a < n; ++a) {
+                    for (size_t b = a + 1; b < n; ++b) {
+                        if (probed[i].conflict(a, b) !=
+                            screened[i].conflict(a, b)) {
+                            kr.bit_identical = false;
+                        }
+                    }
+                }
+            }
+        }
+        kr.speedup = kr.probe_ms / kr.screen_ms;
+        if (!kr.bit_identical) report.bit_identical = false;
+        report.kernels.push_back(kr);
+    }
+    return report;
+}
+
 /// Geometric mean of the per-kernel speedups — the one-number summary
 /// that doesn't let a single large kernel drown out a regression on a
 /// small one.
@@ -724,7 +881,8 @@ std::string report_json(const std::vector<TabuReport>& tabu,
                         const SweepReport& sweep,
                         const SolverReport& solver,
                         const CalibrationReport& calibration,
-                        const SelectionReport& selection) {
+                        const SelectionReport& selection,
+                        const ConflictReport& conflicts) {
     const bool tabu_identical =
         std::all_of(tabu.begin(), tabu.end(),
                     [](const TabuReport& r) { return r.bit_identical; });
@@ -815,7 +973,24 @@ std::string report_json(const std::vector<TabuReport>& tabu,
            << "}";
     }
     os << "],\"bit_identical\":"
-       << (selection.bit_identical ? "true" : "false") << "}}\n";
+       << (selection.bit_identical ? "true" : "false")
+       << "},\"conflicts\":{\"target\":\"XENTIUM\",\"accuracy_db\":"
+       << json_number(conflicts.accuracy_db) << ",\"kernels\":[";
+    for (size_t i = 0; i < conflicts.kernels.size(); ++i) {
+        const ConflictKernelReport& r = conflicts.kernels[i];
+        os << (i == 0 ? "" : ",") << "{\"kernel\":\"" << r.kernel
+           << "\",\"rounds\":" << r.rounds << ",\"pairs\":" << r.pairs
+           << ",\"probe_ms\":" << json_number(r.probe_ms)
+           << ",\"screen_ms\":" << json_number(r.screen_ms)
+           << ",\"speedup\":" << json_number(r.speedup)
+           << ",\"disjoint\":" << r.decided.disjoint
+           << ",\"corrected\":" << r.decided.corrected
+           << ",\"probed\":" << r.decided.probed
+           << ",\"bit_identical\":" << (r.bit_identical ? "true" : "false")
+           << "}";
+    }
+    os << "],\"bit_identical\":"
+       << (conflicts.bit_identical ? "true" : "false") << "}}\n";
     return os.str();
 }
 
@@ -832,7 +1007,7 @@ int main(int argc, char** argv) {
 
     bench::print_header(
         "perf_hotpaths: delta evaluation, compiled tape, JIT builds, gain "
-        "calibration, SLP selection",
+        "calibration, SLP selection, accuracy conflicts",
         "inner-loop cost of the WLO flows (Section IV hot paths)");
 
     const long long tabu_moves = options.smoke ? 4000 : 40000;
@@ -974,8 +1149,24 @@ int main(int argc, char** argv) {
             r.indexed_ms, r.speedup, r.bit_identical ? "yes" : "NO");
     }
 
-    const std::string json = report_json(tabu, noise, compiled, jit, sweep,
-                                         solver, calibration, selection);
+    const ConflictReport conflicts = bench_conflicts(
+        selection_kernels, -40.0, options.smoke ? 2 : 3);
+    std::printf("\naccuracy conflicts, pairwise probe vs footprint screen "
+                "(XENTIUM, WLO-SLP @ %.0f dB)\n",
+                conflicts.accuracy_db);
+    for (const ConflictKernelReport& r : conflicts.kernels) {
+        std::printf(
+            "  %-9s %2d rounds %7lld pairs   probe %9.2f ms   screen %8.2f ms"
+            "   %7.2fx   disjoint %lld corrected %lld probed %lld   "
+            "bit-identical: %s\n",
+            r.kernel.c_str(), r.rounds, r.pairs, r.probe_ms, r.screen_ms,
+            r.speedup, r.decided.disjoint, r.decided.corrected,
+            r.decided.probed, r.bit_identical ? "yes" : "NO");
+    }
+
+    const std::string json =
+        report_json(tabu, noise, compiled, jit, sweep, solver, calibration,
+                    selection, conflicts);
     if (options.json_path.has_value()) {
         bench::emit_json_to(*options.json_path, json, 3);
     }
@@ -985,7 +1176,8 @@ int main(int argc, char** argv) {
                     jit.all_loaded && sweep.bytes_identical &&
                     sweep.stage_hits > 0 && solver.ran_everywhere &&
                     solver.all_proven && solver.gaps_nonnegative &&
-                    calibration.bit_identical && selection.bit_identical;
+                    calibration.bit_identical && selection.bit_identical &&
+                    conflicts.bit_identical;
     if (!ok) {
         std::printf("\nFAIL: divergence between fast and reference paths\n");
         return 1;

@@ -18,8 +18,9 @@ size_t node_slot(const Kernel& kernel, NodeRef node) {
 /// contribution terms; noise_power() refreshes the sites dependent on nodes
 /// the spec's journal reports as changed, then re-sums the cached terms in
 /// site order. The terms and the summation order are exactly those of
-/// AnalyticEvaluator::noise_power, so the result is bit-identical.
-class AnalyticEvalSession final : public EvalSession {
+/// AnalyticEvaluator::noise_power, so the result is bit-identical. The cache
+/// doubles as the session's SiteTerms.
+class AnalyticEvalSession final : public EvalSession, public SiteTerms {
 public:
     AnalyticEvalSession(const AnalyticEvaluator& evaluator,
                         FixedPointSpec& spec)
@@ -39,7 +40,7 @@ public:
         // AnalyticEvaluator::noise_power bit for bit.
         double variance = 0.0;
         double mean = 0.0;
-        for (const Contrib& c : contribs_) {
+        for (const SiteTerm& c : contribs_) {
             variance += c.v_term;
             mean += c.m_term;
         }
@@ -70,12 +71,24 @@ public:
 
     FixedPointSpec& spec() override { return *spec_; }
 
-private:
-    struct Contrib {
-        double v_term = 0.0;  ///< stats.variance * gain.a, +0.0 if inactive
-        double m_term = 0.0;  ///< stats.mean * gain.b * dc_sign, ditto
-    };
+    SiteTerms* site_terms() override { return this; }
 
+    const std::vector<SiteTerm>& current() override {
+        sync();
+        return contribs_;
+    }
+
+    const std::vector<uint32_t>& sites_of(NodeRef node) const override {
+        return evaluator_->sites_of(node);
+    }
+
+    SiteTerm evaluate(uint32_t site) const override { return term(site); }
+
+    void forget_undone_changes() override {
+        cursor_ = spec_->journal_size();
+    }
+
+private:
     void sync() {
         while (cursor_ < spec_->journal_size()) {
             const NodeRef node = spec_->journal_entry(cursor_++);
@@ -83,30 +96,26 @@ private:
         }
     }
 
-    void refresh(size_t i) {
+    void refresh(size_t i) { contribs_[i] = term(i); }
+
+    SiteTerm term(size_t i) const {
         const NoiseSite& site = evaluator_->sites_[i];
         const NoiseStats stats = compute_site_stats(
             site, *evaluator_->kernel_, *spec_, evaluator_->def_nodes_);
+        if (!site_active(site, stats)) return SiteTerm{};
         const NodeGains& g =
             site.op.valid()
                 ? evaluator_->gains_.op_gains[static_cast<size_t>(
                       site.op.index())]
                 : evaluator_->gains_.array_gains[static_cast<size_t>(
                       site.array.index())];
-        Contrib& c = contribs_[i];
-        if (site_active(site, stats)) {
-            c.v_term = stats.variance * g.a;
-            c.m_term = stats.mean * g.b * site.dc_sign;
-        } else {
-            c.v_term = 0.0;
-            c.m_term = 0.0;
-        }
+        return SiteTerm{stats.variance * g.a, stats.mean * g.b * site.dc_sign};
     }
 
     const AnalyticEvaluator* evaluator_;
     FixedPointSpec* spec_;
-    std::vector<Contrib> contribs_;
-    std::vector<Contrib> saved_contribs_;  ///< begin_move() snapshot scratch
+    std::vector<SiteTerm> contribs_;
+    std::vector<SiteTerm> saved_contribs_;  ///< begin_move() snapshot scratch
     const std::vector<uint32_t>* move_sites_ = nullptr;
     size_t cursor_ = 0;
 };

@@ -18,12 +18,45 @@
 // to the full evaluation, so simulation-backed evaluators work unchanged.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "fixpoint/spec.hpp"
 #include "support/dbmath.hpp"
 
 namespace slpwlo {
+
+/// One noise site's gain-weighted contribution (accuracy/noise_source.hpp).
+/// A session that keeps these returns (Σ v_term) + (Σ m_term)² from
+/// noise_power(), each sum taken in site order.
+struct SiteTerm {
+    double v_term = 0.0;  ///< variance * variance gain; +0.0 if inactive
+    double m_term = 0.0;  ///< mean * DC gain * dc_sign; +0.0 if inactive
+};
+
+/// Per-site access to an incremental session's cache, for callers that
+/// decide from recorded per-site deltas instead of re-summing every site
+/// (the accuracy-conflict screen, core/accuracy_conflicts.hpp).
+class SiteTerms {
+public:
+    virtual ~SiteTerms() = default;
+
+    /// The cached terms, brought up to date with the spec's current state.
+    virtual const std::vector<SiteTerm>& current() = 0;
+
+    /// Ascending indices of the sites whose terms depend on `node`.
+    virtual const std::vector<uint32_t>& sites_of(NodeRef node) const = 0;
+
+    /// The term of `site` under the spec's current formats, computed from
+    /// the spec; the cache is left as it is.
+    virtual SiteTerm evaluate(uint32_t site) const = 0;
+
+    /// Declare that every spec change made since the last current() call
+    /// has been undone (a checkpoint taken right after it was reverted), so
+    /// the journal entries since then need no refresh.
+    virtual void forget_undone_changes() = 0;
+};
 
 /// A per-optimization-run evaluation handle bound to one spec.
 ///
@@ -74,6 +107,11 @@ public:
     }
 
     virtual FixedPointSpec& spec() = 0;
+
+    /// The session's per-site decomposition, or nullptr when it keeps none
+    /// (the default full-recompute session, hence every simulation-backed
+    /// evaluator).
+    virtual SiteTerms* site_terms() { return nullptr; }
 };
 
 class AccuracyEvaluator {

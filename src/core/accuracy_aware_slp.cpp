@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/accuracy_conflicts.hpp"
 #include "support/diagnostics.hpp"
 
 namespace slpwlo {
@@ -33,6 +34,7 @@ std::vector<SimdGroup> accuracy_aware_slp(PackedView& view,
     // small WL perturbations thousands of times, and the journal-tracking
     // session re-evaluates each probe in O(changed nodes).
     const std::unique_ptr<EvalSession> eval = evaluator.open_session(spec);
+    AccuracyConflicts accuracy(view, spec, *eval, target, constraint);
 
     auto apply_eq1 = [&](const Candidate& c) {
         const std::vector<OpId> lanes = fused_lanes(view, c);
@@ -44,21 +46,13 @@ std::vector<SimdGroup> accuracy_aware_slp(PackedView& view,
     // other nodes untouched) violates the constraint can never be
     // implemented as a SIMD instruction.
     hooks.candidate_valid = [&](const Candidate& c) {
-        const auto cp = spec.checkpoint();
-        apply_eq1(c);
-        const bool ok = !eval->violates(constraint);
-        spec.revert(cp);
-        return ok;
+        return accuracy.valid(c);
     };
     // Fig. 1c lines 14-25: candidates that cannot coexist are in conflict.
     if (config.accuracy_conflicts) {
-        hooks.extra_conflict = [&](const Candidate& ci, const Candidate& cj) {
-            const auto cp = spec.checkpoint();
-            apply_eq1(ci);
-            apply_eq1(cj);
-            const bool violates = eval->violates(constraint);
-            spec.revert(cp);
-            return violates;
+        hooks.add_extra_conflicts = [&](const std::vector<Candidate>& valid,
+                                        ConflictSet& conflicts) {
+            accuracy.add_conflicts(valid, conflicts);
         };
     }
     // Fig. 1c line 34 (SETMAXWL on selection), plus the strict feasibility
@@ -76,10 +70,15 @@ std::vector<SimdGroup> accuracy_aware_slp(PackedView& view,
 
     // `SLP-Optimal`: exact per-round selection. fix/unfix bracket the
     // equation-(1) commitment revertibly for the branch-and-bound search;
-    // the winning selection is then replayed through the regular selection
-    // hook. Noise is monotone in every WL, so a set that was feasible
-    // inside the search is feasible at every replay prefix — the replay
-    // cannot veto.
+    // the winning selection is then replayed, in candidate order, through
+    // the regular selection hook. Equation (1) only lowers WLs to a
+    // minimum, so the order does not matter and the replay ends on the
+    // spec the search accepted. Its prefixes are states the search never
+    // evaluated: the replay relies on every subset of the winning set
+    // meeting the constraint too. The noise model does not guarantee that
+    // (it is not monotone in every WL: narrowing an operand shrinks the
+    // alignment noise at its consumer), so a prefix that violates it
+    // fails the replay check below rather than changing the selection.
     std::vector<FixedPointSpec::Checkpoint> fix_stack;
     if (config.exact_selection) {
         hooks.select_round = [&](std::vector<Candidate> candidates,
@@ -120,8 +119,8 @@ std::vector<SimdGroup> accuracy_aware_slp(PackedView& view,
             }
             // The model has no dependence-cycle constraint: the replay
             // drops a pack that would close a cycle with the view and the
-            // packs replayed before it (a subset of a feasible selection
-            // stays feasible, so the replay still cannot veto).
+            // packs replayed before it (the rest is again a subset of the
+            // winning set, under the same reliance as above).
             PackCycleGuard cycles(view);
             std::vector<Candidate> replayed;
             for (const Candidate& c : result.selected) {
@@ -148,6 +147,7 @@ std::vector<SimdGroup> accuracy_aware_slp(PackedView& view,
         if (round_open) spec.commit(round_cp);
         round_cp = spec.checkpoint();
         round_open = true;
+        accuracy.begin_round();
     };
     hooks.round_finish = [&](std::vector<Candidate> selection) {
         auto consumed_as_superword = [&](const Candidate& load) {

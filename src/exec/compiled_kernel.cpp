@@ -70,7 +70,37 @@ std::string emit_batch_wrapper(const Kernel& kernel,
     return w.str();
 }
 
+/// jit_translation_unit over a tape the caller already built.
+JitSource translation_unit(const Kernel& kernel, const FixedPointSpec& spec,
+                           const SimTape& tape) {
+    FixedCOptions options;
+    options.count_overflows = true;
+    options.record_trace = true;
+    FixedCResult fixed = emit_fixed_c(kernel, spec, options);
+    size_t input_elems = 0;
+    for (const ArrayDecl& decl : kernel.arrays()) {
+        if (decl.storage == StorageClass::Input) {
+            input_elems += static_cast<size_t>(decl.size);
+        }
+    }
+    size_t outputs = 0;
+    for (const TapeStep& step : tape.steps()) {
+        if (step.kind == OpKind::Store && step.output) outputs++;
+    }
+    JitSource source;
+    source.code = fixed.code + "\n" +
+                  emit_batch_wrapper(kernel, spec, fixed.function_name,
+                                     input_elems, outputs);
+    source.function_name = std::move(fixed.function_name);
+    return source;
+}
+
 }  // namespace
+
+JitSource jit_translation_unit(const Kernel& kernel,
+                               const FixedPointSpec& spec) {
+    return translation_unit(kernel, spec, SimTape(kernel));
+}
 
 uint64_t spec_format_fingerprint(const FixedPointSpec& spec) {
     // FNV-1a over (node kind, node id, iwl, fwl) of every node + the mode.
@@ -110,11 +140,6 @@ std::unique_ptr<CompiledKernel> CompiledKernel::create(
         return nullptr;
     }
 
-    FixedCOptions options;
-    options.count_overflows = true;
-    options.record_trace = true;
-    const FixedCResult fixed = emit_fixed_c(kernel, spec, options);
-
     std::unique_ptr<CompiledKernel> ck(new CompiledKernel());
     ck->quant_mode_ = spec.quant_mode();
     size_t offset = 0;
@@ -153,17 +178,14 @@ std::unique_ptr<CompiledKernel> CompiledKernel::create(
             pow2(-spec.array_format(ArrayId(step.array)).fwl));
     }
 
-    const std::string code =
-        fixed.code + "\n" +
-        emit_batch_wrapper(kernel, spec, fixed.function_name,
-                           ck->input_elems_, ck->output_steps_.size());
+    const JitSource source = translation_unit(kernel, spec, tape);
 
     JitKey key;
     key.kernel_fp = hash_name(print_kernel(kernel));
     key.format_fp = spec_format_fingerprint(spec);
     key.quant_mode = spec.quant_mode();
     key.compiler_id = toolchain.id;
-    const std::string so_path = jit_obtain(key, code, error);
+    const std::string so_path = jit_obtain(key, source.code, error);
     if (so_path.empty()) return nullptr;
 
     ck->handle_ = dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
@@ -175,7 +197,7 @@ std::unique_ptr<CompiledKernel> CompiledKernel::create(
         return nullptr;
     }
     ck->so_path_ = so_path;
-    const std::string fixed_sym = fixed.function_name + "_batch";
+    const std::string fixed_sym = source.function_name + "_batch";
     ck->fixed_batch_ = reinterpret_cast<decltype(ck->fixed_batch_)>(
         dlsym(ck->handle_, fixed_sym.c_str()));
     if (ck->fixed_batch_ == nullptr) {

@@ -34,6 +34,18 @@ namespace slpwlo::exec {
 /// format-set component of the JitCache key.
 uint64_t spec_format_fingerprint(const FixedPointSpec& spec);
 
+/// The C translation unit CompiledKernel::create compiles for (kernel,
+/// spec): the emit_fixed_c body (overflow counting and output trace on)
+/// followed by its stimuli-batched wrapper `function_name + "_batch"`.
+/// jit_key_hash does not hash this source, so tests pin its bytes; a change
+/// that moves them needs a `slpwlo-jit-vN` bump in jit_cache.cpp.
+struct JitSource {
+    std::string code;
+    std::string function_name;
+};
+JitSource jit_translation_unit(const Kernel& kernel,
+                               const FixedPointSpec& spec);
+
 class CompiledKernel {
 public:
     /// Emit, compile (through the JitCache) and load. Returns nullptr with

@@ -31,6 +31,9 @@ public:
     /// Number of conflicting pairs recorded.
     size_t pair_count() const { return pairs_; }
 
+    /// Number of candidates the set ranges over.
+    size_t size() const { return matrix_.size(); }
+
     bool any() const { return pairs_ > 0; }
 
 private:

@@ -39,16 +39,11 @@ std::vector<SimdGroup> extract_slp(PackedView& view, const TargetModel& target,
 
         ConflictSet conflicts = detect_structural_conflicts(view, candidates);
         local.structural_conflicts += static_cast<int>(conflicts.pair_count());
-        if (hooks.extra_conflict) {
-            for (size_t i = 0; i < candidates.size(); ++i) {
-                for (size_t j = i + 1; j < candidates.size(); ++j) {
-                    if (conflicts.conflict(i, j)) continue;
-                    if (hooks.extra_conflict(candidates[i], candidates[j])) {
-                        conflicts.add(i, j);
-                        local.extra_conflicts++;
-                    }
-                }
-            }
+        if (hooks.add_extra_conflicts) {
+            const size_t structural = conflicts.pair_count();
+            hooks.add_extra_conflicts(candidates, conflicts);
+            local.extra_conflicts +=
+                static_cast<int>(conflicts.pair_count() - structural);
         }
 
         std::vector<Candidate> selected =

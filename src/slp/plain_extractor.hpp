@@ -37,9 +37,11 @@ struct SlpStats {
 struct SlpHooks {
     /// Fig. 1c lines 6-12: may a candidate be implemented at all?
     std::function<bool(const Candidate&)> candidate_valid;
-    /// Fig. 1c lines 16-21: extra (accuracy) conflicts between candidates
-    /// that are not structurally conflicting.
-    std::function<bool(const Candidate&, const Candidate&)> extra_conflict;
+    /// Fig. 1c lines 14-25: add the extra (accuracy) conflicts among the
+    /// round's valid candidates (those candidate_valid accepted, in order)
+    /// to the set, which already holds the structural ones.
+    std::function<void(const std::vector<Candidate>&, ConflictSet&)>
+        add_extra_conflicts;
     /// Fig. 1c line 34 (+ strict feasibility): commit the candidate's WL
     /// reduction; returning false drops it.
     std::function<bool(const Candidate&)> try_select;

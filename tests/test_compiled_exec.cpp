@@ -450,7 +450,9 @@ TEST(CompiledExec, StaleTempFilesAreSweptByAgeOnly) {
 TEST(CompiledExec, JitTagPinsTheEmittedSource) {
     // jit_key_hash keys objects by kernel, formats, mode and compiler —
     // not by the C source — so the `slpwlo-jit-vN` tag in jit_cache.cpp is
-    // the only thing that retires objects built by an older emitter.
+    // the only thing that retires objects built by an older emitter. The
+    // pins cover the whole translation unit CompiledKernel::create
+    // compiles: the emitted body and its batch wrapper.
     // Bump `slpwlo-jit-vN` when this moves, then re-pin these hashes:
     // otherwise a shared $SLPWLO_JIT_DIR keeps serving stale objects.
     struct Pin {
@@ -459,23 +461,21 @@ TEST(CompiledExec, JitTagPinsTheEmittedSource) {
         uint64_t source_hash;
     };
     const Pin pins[] = {
-        {"FIR", QuantMode::Truncate, 0x374493f0762298f3ULL},
-        {"FIR", QuantMode::Round, 0x30eed179415e5368ULL},
-        {"IIR", QuantMode::Truncate, 0x98249c6651e75128ULL},
-        {"IIR", QuantMode::Round, 0x48de8f9678e9f9a7ULL},
-        {"CONV", QuantMode::Truncate, 0x5ca86ff79028ed72ULL},
-        {"CONV", QuantMode::Round, 0xe6297315e6aee43dULL},
-        {"DOT", QuantMode::Truncate, 0x84151e870bd062aaULL},
-        {"DOT", QuantMode::Round, 0x27228b8363eb911bULL},
+        {"FIR", QuantMode::Truncate, 0x59b289885a0c0c9fULL},
+        {"FIR", QuantMode::Round, 0xed79f369cb138cbaULL},
+        {"IIR", QuantMode::Truncate, 0xe8dd8538d6e84b3eULL},
+        {"IIR", QuantMode::Round, 0xeb32827cb3ce6d73ULL},
+        {"CONV", QuantMode::Truncate, 0x24b890d5f64d493bULL},
+        {"CONV", QuantMode::Round, 0x792f286cfc17c2daULL},
+        {"DOT", QuantMode::Truncate, 0xb0494cafe953df7fULL},
+        {"DOT", QuantMode::Round, 0x2ab4ed605d09e8e2ULL},
     };
-    FixedCOptions options;
-    options.count_overflows = true;
-    options.record_trace = true;
     for (const Pin& pin : pins) {
         const kernels::BenchmarkKernel bk =
             kernels::make_benchmark_kernel(pin.kernel);
         const FixedPointSpec spec = preset_spec(bk.kernel, 12, pin.mode);
-        const std::string code = emit_fixed_c(bk.kernel, spec, options).code;
+        const std::string code =
+            exec::jit_translation_unit(bk.kernel, spec).code;
         EXPECT_EQ(hash_name(code), pin.source_hash)
             << pin.kernel << " " << to_string(pin.mode) << ": 0x" << std::hex
             << hash_name(code);
